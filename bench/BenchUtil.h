@@ -123,13 +123,15 @@ inline SuiteTotals runOnSuite(const std::vector<Workload> &Suite,
     Totals.Moves += R.NumMoves;
     Totals.WeightedMoves += R.WeightedMoves;
     Totals.MovesBeforeCoalesce += R.MovesBeforeCoalesce;
-    Totals.CoalescerMerges += R.Coalescer.NumMerges;
     Totals.Seconds += R.Seconds;
     Totals.CoalesceSeconds += R.CoalesceSeconds;
     Totals.PerPass.addAll(R.Timings);
   }
   Totals.Counters =
       StatsRegistry::delta(Before, StatsRegistry::instance().snapshot());
+  auto Merges = Totals.Counters.find("coalesce.merges");
+  if (Merges != Totals.Counters.end())
+    Totals.CoalescerMerges = Merges->second;
   return Totals;
 }
 

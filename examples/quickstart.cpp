@@ -20,6 +20,7 @@
 #include "ir/IRPrinter.h"
 #include "outofssa/MoveStats.h"
 #include "outofssa/Pipeline.h"
+#include "support/Stats.h"
 #include "workloads/Suites.h"
 
 #include <cstdio>
@@ -72,13 +73,19 @@ done:
 
   // The paper's full configuration: SP + ABI constraint collection,
   // pinning-based phi coalescing, Leung & George translation, and the
-  // aggressive cleanup coalescer.
+  // aggressive cleanup coalescer. The scope collects the counters the
+  // passes bump during this run alone (docs/OBSERVABILITY.md).
+  StatsScope Scope;
   PipelineResult R = runPipeline(*F, pipelinePreset("Lphi,ABI+C"));
+  StatsSnapshot Counts = Scope.snapshot();
   std::printf("=== after out-of-SSA (Lphi,ABI+C) ===\n%s\n",
               printFunction(*F).c_str());
-  std::printf("phi copies: %u, pin copies: %u, repairs: %u, elided: %u\n",
-              R.Translate.NumPhiCopies, R.Translate.NumPinCopies,
-              R.Translate.NumRepairs, R.Translate.NumElidedCopies);
+  std::printf("phi copies: %llu, pin copies: %llu, repairs: %llu, "
+              "elided: %llu\n",
+              (unsigned long long)Counts["translate.phi_copies"],
+              (unsigned long long)Counts["translate.pin_copies"],
+              (unsigned long long)Counts["translate.repairs"],
+              (unsigned long long)Counts["translate.elided_copies"]);
   std::printf("residual moves: %u (weighted by 5^depth: %llu)\n",
               R.NumMoves, static_cast<unsigned long long>(R.WeightedMoves));
 

@@ -55,11 +55,6 @@ public:
   /// would after a rebuild.
   void mergeNodes(RegId Rep, RegId Dead);
 
-  /// Merges \p B into \p A: A acquires all of B's edges. Used after
-  /// coalescing a move (a simple vertex-merge, as Section 3.5 notes).
-  /// Synonym for mergeNodes, kept for the historical call sites.
-  void mergeInto(RegId A, RegId B) { mergeNodes(A, B); }
-
   /// Removes the edge {A, B}. The incremental coalescer uses this when
   /// its round-boundary repair scan proves a unioned edge is not present
   /// in the exact graph of the rewritten program.

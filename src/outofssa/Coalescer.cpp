@@ -32,6 +32,14 @@ bool oracleFromEnv() {
 
 bool CrossCheckOracle = oracleFromEnv();
 
+/// One coalesceAggressively call's work; each field is published once
+/// per call to its coalesce.* counter (docs/OBSERVABILITY.md).
+struct CoalesceTally {
+  unsigned MovesRemoved = 0, Rounds = 0, Merges = 0, Rebuilds = 0;
+  unsigned ConfirmScans = 0, RepairScans = 0, StaleEdgesRemoved = 0;
+  unsigned WorklistPushes = 0, WorklistPops = 0, Requeues = 0;
+};
+
 /// Packs an unordered RegId pair into one sortable/searchable key.
 uint64_t pairKey(RegId A, RegId B) {
   if (A < B)
@@ -55,8 +63,6 @@ uint64_t pairKey(RegId A, RegId B) {
 /// are appended freely and deduplicated once at the end. No per-element
 /// hashing or node allocation.
 bool anyCoalescableCopy(const Function &F, const Liveness &LV) {
-  ++LAO_STAT(coalesce, confirm_scans);
-
   // Candidate pairs and, per register, its candidate partners (tiny
   // lists: only registers appearing in copies have any).
   std::vector<uint64_t> Candidates;
@@ -149,12 +155,12 @@ bool anyCoalescableCopy(const Function &F, const Liveness &LV) {
 /// The pre-optimization schedule, kept verbatim as the reference for the
 /// equivalence tests and the LAO_COALESCE_ORACLE cross-check: every
 /// iteration rebuilds CFG + liveness + graph and runs exactly one sweep.
-CoalescerStats
+CoalesceTally
 coalesceRebuildingEveryRound(Function &F,
                              std::vector<std::pair<RegId, RegId>> *TraceOut) {
-  CoalescerStats Stats;
+  CoalesceTally Tally;
   for (;;) {
-    ++Stats.NumRebuilds;
+    ++Tally.Rebuilds;
     CFG Cfg(F);
     Liveness LV(Cfg);
     InterferenceGraph IG(F, LV);
@@ -167,7 +173,7 @@ coalesceRebuildingEveryRound(Function &F,
     };
 
     bool MergedOnThisGraph = false;
-    ++Stats.NumRounds;
+    ++Tally.Rounds;
     for (const auto &BB : F.blocks()) {
       for (Instruction &I : BB->instructions()) {
         if (!I.isCopy())
@@ -186,7 +192,7 @@ coalesceRebuildingEveryRound(Function &F,
         RenameTo[Victim] = Survivor;
         if (TraceOut)
           TraceOut->emplace_back(Survivor, Victim);
-        ++Stats.NumMerges;
+        ++Tally.Merges;
         MergedOnThisGraph = true;
       }
     }
@@ -203,14 +209,14 @@ coalesceRebuildingEveryRound(Function &F,
           It->setUse(K, Resolve(It->use(K)));
         if (It->isCopy() && It->def(0) == It->use(0)) {
           It = Insts.erase(It);
-          ++Stats.NumMovesRemoved;
+          ++Tally.MovesRemoved;
         } else {
           ++It;
         }
       }
     }
   }
-  return Stats;
+  return Tally;
 }
 
 /// Round-boundary repair: recomputes the rows of the dirty nodes — the
@@ -222,8 +228,8 @@ coalesceRebuildingEveryRound(Function &F,
 void repairDirtyRows(const Function &F, const Liveness &LV,
                      InterferenceGraph &IG, const BitVector &DirtyMask,
                      const std::vector<RegId> &DirtyList,
-                     CoalescerStats &Stats) {
-  ++Stats.NumRepairScans;
+                     CoalesceTally &Tally) {
+  ++Tally.RepairScans;
   size_t NV = F.numValues();
   size_t ND = DirtyList.size();
   std::vector<uint32_t> Slot(NV, UINT32_MAX);
@@ -332,7 +338,7 @@ void repairDirtyRows(const Function &F, const Liveness &LV,
            "repair found an exact edge the unioned graph was missing");
     for (RegId N : Stale)
       IG.removeEdge(R, N);
-    Stats.NumStaleEdgesRemoved += static_cast<unsigned>(Stale.size());
+    Tally.StaleEdgesRemoved += static_cast<unsigned>(Stale.size());
   }
 }
 
@@ -340,21 +346,21 @@ void repairDirtyRows(const Function &F, const Liveness &LV,
 /// argument). \p ExpectTrace, when set, is the reference merge trace the
 /// oracle compares against, aborting on the first divergence.
 void coalesceWithWorklist(Function &F, AnalysisManager &AM,
-                          CoalescerStats &Stats,
+                          CoalesceTally &Tally,
                           std::vector<std::pair<RegId, RegId>> *TraceOut,
                           const std::vector<std::pair<RegId, RegId>> *ExpectTrace) {
   Liveness &LV = AM.liveness();
 
   // Graph-free gate first: most calls after the phi-coalescing
   // configurations find nothing to merge and never build a graph.
-  ++Stats.NumConfirmScans;
+  ++Tally.ConfirmScans;
   if (!anyCoalescableCopy(F, LV))
     return;
 
   bool HadGraph = AM.isCached(AnalysisKind::Interference);
   InterferenceGraph &IG = AM.interference();
   if (!HadGraph)
-    ++Stats.NumRebuilds; // The one and only build of this call.
+    ++Tally.Rebuilds; // The one and only build of this call.
 
   // The move worklist: every remaining candidate copy, in instruction
   // order (matching the reference sweep order). Entries index Moves so
@@ -381,7 +387,7 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
   Queue.reserve(Moves.size());
   for (unsigned Idx = 0; Idx < Moves.size(); ++Idx)
     Queue.push_back(Idx);
-  Stats.NumWorklistPushes += static_cast<unsigned>(Queue.size());
+  Tally.WorklistPushes += static_cast<unsigned>(Queue.size());
 
   std::vector<unsigned> Deferred; // Blocked moves, ascending move index.
   size_t NV = F.numValues();
@@ -396,13 +402,11 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
   unsigned TraceIdx = 0;
 
   while (!Queue.empty()) {
-    ++Stats.NumRounds;
-    Stats.MaxWorklistDepth = std::max(
-        Stats.MaxWorklistDepth, static_cast<unsigned>(Queue.size()));
+    ++Tally.Rounds;
     unsigned MergesThisRound = 0;
 
     for (unsigned Idx : Queue) {
-      ++Stats.NumWorklistPops;
+      ++Tally.WorklistPops;
       const MoveRec &M = Moves[Idx];
       assert(M.Alive && "a dead move stayed enqueued");
       RegId D = Resolve(M.I->def(0));
@@ -443,12 +447,12 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
         }
         ++TraceIdx;
       }
-      ++Stats.NumMerges;
+      ++Tally.Merges;
       ++MergesThisRound;
     }
     assert(MergesThisRound > 0 &&
            "every scheduled round must merge at least once");
-    Stats.RoundMerges.push_back(MergesThisRound);
+    (void)MergesThisRound;
 
     // Round boundary: apply the renames, drop identity moves (retiring
     // their worklist entries), and maintain the dense liveness exactly.
@@ -476,7 +480,7 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
           It->setUse(K, Resolve(It->use(K)));
         if (It->isCopy() && It->def(0) == It->use(0)) {
           It = Insts.erase(It);
-          ++Stats.NumMovesRemoved;
+          ++Tally.MovesRemoved;
         } else {
           ++It;
         }
@@ -487,7 +491,7 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
     LV.recomputeValues(Survivors);
 
     // Restore G = exact graph of the rewritten program (dirty rows only).
-    repairDirtyRows(F, LV, IG, DirtyMask, DirtyList, Stats);
+    repairDirtyRows(F, LV, IG, DirtyMask, DirtyList, Tally);
 
     // Re-enqueue exactly the deferred moves whose operands alias a node
     // merged this round and whose pair no longer interferes; clean pairs
@@ -505,8 +509,8 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
         continue; // Permanently unmergeable.
       if ((DirtyMask.test(D) || DirtyMask.test(S)) && !IG.interfere(D, S)) {
         Queue.push_back(Idx);
-        ++Stats.NumRequeues;
-        ++Stats.NumWorklistPushes;
+        ++Tally.Requeues;
+        ++Tally.WorklistPushes;
       } else {
         StillDeferred.push_back(Idx);
       }
@@ -533,13 +537,12 @@ void coalesceWithWorklist(Function &F, AnalysisManager &AM,
 
 void lao::setCoalescerCrossCheckOracle(bool On) { CrossCheckOracle = On; }
 
-CoalescerStats lao::coalesceAggressively(Function &F,
-                                         const CoalescerOptions &Opts,
-                                         AnalysisManager *AM) {
-  CoalescerStats Stats;
+unsigned lao::coalesceAggressively(Function &F, const CoalescerOptions &Opts,
+                                   AnalysisManager *AM) {
+  CoalesceTally Tally;
 
   if (Opts.RebuildEveryRound) {
-    Stats = coalesceRebuildingEveryRound(F, Opts.TraceOut);
+    Tally = coalesceRebuildingEveryRound(F, Opts.TraceOut);
   } else {
     std::optional<AnalysisManager> LocalAM;
     if (!AM) {
@@ -555,15 +558,15 @@ CoalescerStats lao::coalesceAggressively(Function &F,
       // below then replays against its trace in lockstep.
       auto Ref = cloneFunction(F);
       RefTrace.emplace();
-      CoalescerStats RefStats = coalesceRebuildingEveryRound(*Ref, &*RefTrace);
+      RefMovesRemoved =
+          coalesceRebuildingEveryRound(*Ref, &*RefTrace).MovesRemoved;
       RefPrinted = printFunction(*Ref);
-      RefMovesRemoved = RefStats.NumMovesRemoved;
     }
 
-    coalesceWithWorklist(F, *AM, Stats, Opts.TraceOut,
+    coalesceWithWorklist(F, *AM, Tally, Opts.TraceOut,
                          RefTrace ? &*RefTrace : nullptr);
 
-    if (Stats.NumMerges > 0) {
+    if (Tally.Merges > 0) {
       // The maintained liveness is exact, and the repaired graph is the
       // exact graph of the final program; only the SSA-position query
       // engine is stale. With verify-on-invalidate enabled both survivors
@@ -574,11 +577,11 @@ CoalescerStats lao::coalesceAggressively(Function &F,
     }
 
     if (CrossCheckOracle) {
-      if (Stats.NumMovesRemoved != RefMovesRemoved) {
+      if (Tally.MovesRemoved != RefMovesRemoved) {
         std::fprintf(stderr,
                      "LAO_COALESCE_ORACLE: moves removed mismatch: "
                      "worklist %u, rebuild-every-round %u\n",
-                     Stats.NumMovesRemoved, RefMovesRemoved);
+                     Tally.MovesRemoved, RefMovesRemoved);
         std::abort();
       }
       if (printFunction(F) != RefPrinted) {
@@ -599,14 +602,15 @@ CoalescerStats lao::coalesceAggressively(Function &F,
   }
 
   LAO_STAT(coalesce, runs) += 1;
-  LAO_STAT(coalesce, rounds) += Stats.NumRounds;
-  LAO_STAT(coalesce, rebuilds) += Stats.NumRebuilds;
-  LAO_STAT(coalesce, merges) += Stats.NumMerges;
-  LAO_STAT(coalesce, moves_removed) += Stats.NumMovesRemoved;
-  LAO_STAT(coalesce, repair_scans) += Stats.NumRepairScans;
-  LAO_STAT(coalesce, worklist_pushes) += Stats.NumWorklistPushes;
-  LAO_STAT(coalesce, worklist_pops) += Stats.NumWorklistPops;
-  LAO_STAT(coalesce, worklist_requeues) += Stats.NumRequeues;
-  LAO_STAT(coalesce, stale_edges_removed) += Stats.NumStaleEdgesRemoved;
-  return Stats;
+  LAO_STAT(coalesce, rounds) += Tally.Rounds;
+  LAO_STAT(coalesce, rebuilds) += Tally.Rebuilds;
+  LAO_STAT(coalesce, confirm_scans) += Tally.ConfirmScans;
+  LAO_STAT(coalesce, merges) += Tally.Merges;
+  LAO_STAT(coalesce, moves_removed) += Tally.MovesRemoved;
+  LAO_STAT(coalesce, repair_scans) += Tally.RepairScans;
+  LAO_STAT(coalesce, worklist_pushes) += Tally.WorklistPushes;
+  LAO_STAT(coalesce, worklist_pops) += Tally.WorklistPops;
+  LAO_STAT(coalesce, worklist_requeues) += Tally.Requeues;
+  LAO_STAT(coalesce, stale_edges_removed) += Tally.StaleEdgesRemoved;
+  return Tally.Merges;
 }

@@ -88,37 +88,6 @@ struct CoalescerOptions {
   std::vector<std::pair<RegId, RegId>> *TraceOut = nullptr;
 };
 
-struct CoalescerStats {
-  unsigned NumMovesRemoved = 0;
-  /// Merge rounds (worklist passes, or sweeps in the reference mode).
-  unsigned NumRounds = 0;
-  /// Total interference-graph node merges (proportional to the cost the
-  /// paper's compile-time discussion attributes to this phase).
-  unsigned NumMerges = 0;
-  /// Full interference-graph constructions. The zero-rebuild schedule
-  /// performs at most one (the initial exact build; zero when the confirm
-  /// scan proves there is nothing to merge).
-  unsigned NumRebuilds = 0;
-  /// Graph-free fixpoint checks over the remaining copy pairs. The
-  /// worklist schedule runs exactly one, as the initial gate.
-  unsigned NumConfirmScans = 0;
-  /// Round-boundary dirty-row repair scans (one per productive round).
-  unsigned NumRepairScans = 0;
-  /// Worklist traffic: every enqueue (initial population + re-enqueues),
-  /// every pop, and the re-enqueues alone — a measure of how much work
-  /// cascading merges actually wake up.
-  unsigned NumWorklistPushes = 0;
-  unsigned NumWorklistPops = 0;
-  unsigned NumRequeues = 0;
-  /// Stale unioned edges the repair scans removed.
-  unsigned NumStaleEdgesRemoved = 0;
-  /// High-water mark of pending worklist entries.
-  unsigned MaxWorklistDepth = 0;
-  /// Merges performed in each round, in round order (lao-opt
-  /// --coalesce-stats prints these).
-  std::vector<unsigned> RoundMerges;
-};
-
 /// Runs aggressive repeated coalescing on non-SSA \p F (no phis; parallel
 /// copies must have been sequentialized).
 ///
@@ -128,9 +97,12 @@ struct CoalescerStats {
 /// happened, the repaired interference graph — exact for the final
 /// program — stays cached too; only the liveness-query engine is
 /// invalidated. Passing nullptr uses a private manager.
-CoalescerStats coalesceAggressively(Function &F,
-                                    const CoalescerOptions &Opts = {},
-                                    AnalysisManager *AM = nullptr);
+///
+/// Returns the number of interference-graph merges; the rest of the
+/// call's work (rounds, rebuilds, worklist traffic, moves removed) is
+/// counted into the coalesce.* registry counters.
+unsigned coalesceAggressively(Function &F, const CoalescerOptions &Opts = {},
+                              AnalysisManager *AM = nullptr);
 
 /// Cross-check mode (also enabled by the LAO_COALESCE_ORACLE environment
 /// variable): every worklist-scheduled call first runs the

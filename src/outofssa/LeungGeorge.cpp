@@ -35,15 +35,20 @@ public:
   Translator(Function &F, PinningContext &Ctx, const CFG &Cfg)
       : F(F), Ctx(Ctx), Cfg(Cfg), NumOrigValues(F.numValues()) {}
 
-  OutOfSSAStats run() {
+  void run() {
     solve();
     replay(/*Rewrite=*/false);
-    for (RegId V : RepairNeeded) {
+    for (RegId V : RepairNeeded)
       RepairVar[V] = F.makeVirtual(F.valueName(V) + ".r");
-      ++Stats.NumRepairs;
-    }
     replay(/*Rewrite=*/true);
-    return Stats;
+
+    LAO_STAT(translate, runs) += 1;
+    LAO_STAT(translate, repairs) += RepairNeeded.size();
+    LAO_STAT(translate, phi_copies) += NumPhiCopies;
+    LAO_STAT(translate, pin_copies) += NumPinCopies;
+    LAO_STAT(translate, elided_copies) += NumElidedCopies;
+    LAO_STAT(translate, phis_removed) += NumPhisRemoved;
+    LAO_STAT(translate, inserts) += NumInserts;
   }
 
 private:
@@ -51,7 +56,11 @@ private:
   PinningContext &Ctx;
   const CFG &Cfg;
   size_t NumOrigValues;
-  OutOfSSAStats Stats;
+
+  /// Rewrite-mode tallies, published by run() to the translate.*
+  /// counters (the repair count is RepairNeeded's size).
+  unsigned NumPhiCopies = 0, NumPinCopies = 0, NumElidedCopies = 0;
+  unsigned NumPhisRemoved = 0, NumInserts = 0;
 
   /// Compact renumbering of written resource slots: SlotOf[Res] is the
   /// dense state index of resource representative Res, or NoSlot if no
@@ -255,7 +264,7 @@ private:
     Copy.addDef(RepairVar.at(V));
     Copy.addUse(repOf(V));
     NewList.push_back(std::move(Copy));
-    ++Stats.NumInserts;
+    ++NumInserts;
   }
 
   void replayBlock(BasicBlock *BB, bool Rewrite,
@@ -274,7 +283,7 @@ private:
         if (Rewrite) {
           if (RepairNeeded.count(I.def(0)))
             PendingPhiRepairs.push_back(I.def(0));
-          ++Stats.NumPhisRemoved;
+          ++NumPhisRemoved;
         }
         It = Next;
         continue;
@@ -307,13 +316,13 @@ private:
               // The destination resource already carries the flowing
               // value: elide the copy (paper Section 2.3, second bullet).
               if (Rewrite)
-                ++Stats.NumElidedCopies;
+                ++NumElidedCopies;
               continue;
             }
             RegId Src = locOf(Arg, S, Rewrite);
             if (Src == Dst) {
               if (Rewrite)
-                ++Stats.NumElidedCopies;
+                ++NumElidedCopies;
               continue;
             }
             ParCopy.addDef(Dst);
@@ -322,9 +331,9 @@ private:
         }
         applyPhiCopyUpdates(BB, S);
         if (Rewrite && ParCopy.numDefs() != 0) {
-          Stats.NumPhiCopies += ParCopy.numDefs();
+          NumPhiCopies += ParCopy.numDefs();
           NewList.push_back(std::move(ParCopy));
-          ++Stats.NumInserts;
+          ++NumInserts;
         }
       }
 
@@ -344,7 +353,7 @@ private:
         RegId Loc = F.isPhysical(V) ? V : locOf(V, S, Rewrite);
         if (holderOf(S, PinRes) == V || Loc == PinRes) {
           if (Rewrite)
-            ++Stats.NumElidedCopies;
+            ++NumElidedCopies;
           continue;
         }
         // Copy the value into the pinned resource.
@@ -361,9 +370,9 @@ private:
         if (I.usePin(K) != InvalidReg)
           S[slotOf(repOf(I.usePin(K)))] = OrigUses[K];
       if (Rewrite && PinCopy.numDefs() != 0) {
-        Stats.NumPinCopies += PinCopy.numDefs();
+        NumPinCopies += PinCopy.numDefs();
         NewList.push_back(std::move(PinCopy));
-        ++Stats.NumInserts;
+        ++NumInserts;
       }
       // Resolve operands under the post-copy state.
       for (unsigned K = 0; K < I.numUses(); ++K) {
@@ -420,18 +429,9 @@ private:
 
 } // namespace
 
-OutOfSSAStats lao::translateOutOfSSA(Function &F, PinningContext &Ctx,
-                                     const CFG &Cfg) {
-  Translator T(F, Ctx, Cfg);
-  OutOfSSAStats Stats = T.run();
-  LAO_STAT(translate, runs) += 1;
-  LAO_STAT(translate, repairs) += Stats.NumRepairs;
-  LAO_STAT(translate, phi_copies) += Stats.NumPhiCopies;
-  LAO_STAT(translate, pin_copies) += Stats.NumPinCopies;
-  LAO_STAT(translate, elided_copies) += Stats.NumElidedCopies;
-  LAO_STAT(translate, phis_removed) += Stats.NumPhisRemoved;
-  LAO_STAT(translate, inserts) += Stats.NumInserts;
-  return Stats;
+void lao::translateOutOfSSA(Function &F, PinningContext &Ctx,
+                            const CFG &Cfg) {
+  Translator(F, Ctx, Cfg).run();
 }
 
 void lao::sequentializeCopyPairs(std::vector<CopyPair> Entries,

@@ -44,18 +44,10 @@
 
 namespace lao {
 
-struct OutOfSSAStats {
-  unsigned NumRepairs = 0;        ///< Repair copies inserted.
-  unsigned NumPhiCopies = 0;      ///< Parallel-copy entries for phis.
-  unsigned NumPinCopies = 0;      ///< Copies satisfying use pins.
-  unsigned NumElidedCopies = 0;   ///< Copies avoided (value in place).
-  unsigned NumPhisRemoved = 0;
-  unsigned NumInserts = 0;        ///< Instructions inserted (all kinds).
-};
-
 /// Translates \p F out of SSA under the pinning in \p Ctx. Mutates F.
-OutOfSSAStats translateOutOfSSA(Function &F, PinningContext &Ctx,
-                                const CFG &Cfg);
+/// Counts into the translate.* registry counters (repairs, phi_copies,
+/// pin_copies, elided_copies, phis_removed, inserts).
+void translateOutOfSSA(Function &F, PinningContext &Ctx, const CFG &Cfg);
 
 /// One parallel-copy entry: (destination, source).
 using CopyPair = std::pair<RegId, RegId>;

@@ -46,11 +46,20 @@ struct AffinityGraph {
   }
 };
 
+/// One coalescePhis call's work; each field is published once per call
+/// to its phicoalesce.* counter (docs/OBSERVABILITY.md).
+struct PhiTally {
+  unsigned AffinityEdges = 0, InitialPruned = 0, WeightPruned = 0;
+  unsigned Merges = 0, UsePinMerges = 0, PhysDeferred = 0, SafetySkips = 0;
+  unsigned Gain = 0;
+  uint64_t PairQueries = 0;
+};
+
 /// Create_affinity_graph (Algorithm 2 / Algorithm 3 with depth filter).
 /// \p DepthFilter of -1 disables the filter.
 AffinityGraph createAffinityGraph(const BasicBlock &BB, PinningContext &Ctx,
                                   const LoopInfo &LI, int DepthFilter,
-                                  PhiCoalescingStats &Stats) {
+                                  PhiTally &Tally) {
   AffinityGraph G;
   for (const Instruction &I : BB.instructions()) {
     if (!I.isPhi())
@@ -69,7 +78,7 @@ AffinityGraph createAffinityGraph(const BasicBlock &BB, PinningContext &Ctx,
       if (ArgRes == DefRes)
         continue; // Already coalesced: the gain is already realized.
       G.Vertices.insert(ArgRes);
-      ++Stats.NumAffinityEdges;
+      ++Tally.AffinityEdges;
       if (Edge *E = G.findEdge(DefRes, ArgRes)) {
         ++E->Multiplicity;
         continue;
@@ -82,14 +91,14 @@ AffinityGraph createAffinityGraph(const BasicBlock &BB, PinningContext &Ctx,
 
 /// Graph_InitialPruning: delete edges whose resources interfere.
 void initialPruning(AffinityGraph &G, PinningContext &Ctx,
-                    PhiCoalescingStats &Stats) {
+                    PhiTally &Tally) {
   for (Edge &E : G.Edges) {
     if (E.Deleted)
       continue;
-    ++Stats.NumPairQueries;
+    ++Tally.PairQueries;
     if (Ctx.resourceInterfere(E.DefRes, E.ArgRes)) {
       E.Deleted = true;
-      Stats.NumInitialPruned += E.Multiplicity;
+      Tally.InitialPruned += E.Multiplicity;
     }
   }
 }
@@ -97,7 +106,7 @@ void initialPruning(AffinityGraph &G, PinningContext &Ctx,
 /// BipartiteGraph_pruning: weight, then greedily delete heaviest edges.
 void bipartitePruning(Function &F, AffinityGraph &G, PinningContext &Ctx,
                       PruneHeuristic Heuristic,
-                      PhiCoalescingStats &Stats) {
+                      PhiTally &Tally) {
   // Tie bonuses: a use pinned to a resource of one endpoint whose
   // variable lives in the other endpoint makes the edge more valuable.
   for (const auto &BB : F.blocks())
@@ -143,7 +152,7 @@ void bipartitePruning(Function &F, AffinityGraph &G, PinningContext &Ctx,
       }
       if (FarA == FarB)
         continue;
-      ++Stats.NumPairQueries;
+      ++Tally.PairQueries;
       if (!Ctx.resourceInterfere(FarA, FarB))
         continue;
       EA.Weight += static_cast<int>(EB.Multiplicity);
@@ -167,7 +176,7 @@ void bipartitePruning(Function &F, AffinityGraph &G, PinningContext &Ctx,
     if (!Pick)
       break;
     Pick->Deleted = true;
-    Stats.NumWeightPruned += Pick->Multiplicity;
+    Tally.WeightPruned += Pick->Multiplicity;
     for (Edge &E : G.Edges) {
       if (E.Deleted)
         continue;
@@ -186,7 +195,7 @@ void bipartitePruning(Function &F, AffinityGraph &G, PinningContext &Ctx,
 /// to the final representative, so the coalescing decision is visible in
 /// the printed IR (as in the paper's Figure 7).
 void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
-                     unsigned PhysMergeMinMult, PhiCoalescingStats &Stats) {
+                     unsigned PhysMergeMinMult, PhiTally &Tally) {
   // Adjacency over live edges (neighbour, edge multiplicity).
   std::map<RegId, std::vector<std::pair<RegId, unsigned>>> Adj;
   for (const Edge &E : G.Edges) {
@@ -215,9 +224,9 @@ void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
         if (Tried.count(N) || Merged.count(N))
           continue;
         Tried.insert(N);
-        ++Stats.NumPairQueries;
+        ++Tally.PairQueries;
         if (Ctx.resourceInterfere(Acc, N)) {
-          ++Stats.NumSafetySkips;
+          ++Tally.SafetySkips;
           continue;
         }
         // Joining a *physical* (dedicated-register) class commits a
@@ -229,12 +238,12 @@ void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
         bool PhysInvolved = Ctx.func().isPhysical(Ctx.resourceOf(N)) ||
                             Ctx.func().isPhysical(Ctx.resourceOf(Acc));
         if (PhysInvolved && Mult < PhysMergeMinMult) {
-          ++Stats.NumPhysDeferred;
+          ++Tally.PhysDeferred;
           continue;
         }
         Acc = Ctx.pinTogether(Acc, N);
         Merged.insert(N);
-        ++Stats.NumMerges;
+        ++Tally.Merges;
         Work.push_back(N);
       }
     }
@@ -255,10 +264,9 @@ void mergeComponents(Function &F, AffinityGraph &G, PinningContext &Ctx,
 
 } // namespace
 
-PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
-                                     const CFG &Cfg, const LoopInfo &LI,
-                                     const PhiCoalescingOptions &Opts) {
-  PhiCoalescingStats Stats;
+void lao::coalescePhis(Function &F, PinningContext &Ctx, const CFG &Cfg,
+                       const LoopInfo &LI, const PhiCoalescingOptions &Opts) {
+  PhiTally Tally;
 
   // Confluence blocks ordered inner-to-outer (deepest loop first; RPO
   // breaks ties deterministically).
@@ -294,11 +302,11 @@ PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
             continue;
           if (Ctx.resourceOf(V) == Ctx.resourceOf(Pin))
             continue;
-          ++Stats.NumPairQueries;
+          ++Tally.PairQueries;
           if (Ctx.resourceInterfere(V, Pin))
             continue;
           RegId Rep = Ctx.pinTogether(V, Pin);
-          ++Stats.NumUsePinMerges;
+          ++Tally.UsePinMerges;
           const DefSite &DS = Ctx.defSite(V);
           if (DS.Valid) {
             Instruction &DefI = const_cast<Instruction &>(*DS.I);
@@ -313,10 +321,10 @@ PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
 
   auto ProcessBlock = [&](BasicBlock *BB, int DepthFilter) {
     AffinityGraph G =
-        createAffinityGraph(*BB, Ctx, LI, DepthFilter, Stats);
-    initialPruning(G, Ctx, Stats);
-    bipartitePruning(F, G, Ctx, Opts.Heuristic, Stats);
-    mergeComponents(F, G, Ctx, Opts.PhysMergeMinMult, Stats);
+        createAffinityGraph(*BB, Ctx, LI, DepthFilter, Tally);
+    initialPruning(G, Ctx, Tally);
+    bipartitePruning(F, G, Ctx, Opts.Heuristic, Tally);
+    mergeComponents(F, G, Ctx, Opts.PhysMergeMinMult, Tally);
   };
 
   if (Opts.DepthConstrained) {
@@ -340,15 +348,16 @@ PhiCoalescingStats lao::coalescePhis(Function &F, PinningContext &Ctx,
       RegId DefRes = Ctx.resourceOf(I.def(0));
       for (unsigned K = 0; K < I.numUses(); ++K)
         if (Ctx.resourceOf(I.use(K)) == DefRes)
-          ++Stats.TotalGain;
+          ++Tally.Gain;
     }
   LAO_STAT(phicoalesce, runs) += 1;
-  LAO_STAT(phicoalesce, affinity_edges) += Stats.NumAffinityEdges;
-  LAO_STAT(phicoalesce, initial_pruned) += Stats.NumInitialPruned;
-  LAO_STAT(phicoalesce, weight_pruned) += Stats.NumWeightPruned;
-  LAO_STAT(phicoalesce, merges) += Stats.NumMerges;
-  LAO_STAT(phicoalesce, safety_skips) += Stats.NumSafetySkips;
-  LAO_STAT(phicoalesce, pair_queries) += Stats.NumPairQueries;
-  LAO_STAT(phicoalesce, gain) += Stats.TotalGain;
-  return Stats;
+  LAO_STAT(phicoalesce, affinity_edges) += Tally.AffinityEdges;
+  LAO_STAT(phicoalesce, initial_pruned) += Tally.InitialPruned;
+  LAO_STAT(phicoalesce, weight_pruned) += Tally.WeightPruned;
+  LAO_STAT(phicoalesce, merges) += Tally.Merges;
+  LAO_STAT(phicoalesce, use_pin_merges) += Tally.UsePinMerges;
+  LAO_STAT(phicoalesce, phys_deferred) += Tally.PhysDeferred;
+  LAO_STAT(phicoalesce, safety_skips) += Tally.SafetySkips;
+  LAO_STAT(phicoalesce, pair_queries) += Tally.PairQueries;
+  LAO_STAT(phicoalesce, gain) += Tally.Gain;
 }

@@ -63,22 +63,6 @@ struct PhiCoalescingOptions {
   bool UsePinAffinity = false;
 };
 
-struct PhiCoalescingStats {
-  unsigned NumAffinityEdges = 0;   ///< Total edges created (by multiplicity).
-  unsigned NumInitialPruned = 0;   ///< Removed by Graph_InitialPruning.
-  unsigned NumWeightPruned = 0;    ///< Removed by BipartiteGraph_pruning.
-  unsigned NumMerges = 0;          ///< Resource merges performed.
-  unsigned NumUsePinMerges = 0;    ///< Merges from the [LIM2] pre-pass.
-  unsigned NumPhysDeferred = 0;    ///< Weak-affinity physical merges left
-                                   ///< to the post coalescer.
-  unsigned NumSafetySkips = 0;     ///< Vertices skipped by the merge-time
-                                   ///< interference re-check (see below).
-  uint64_t NumPairQueries = 0;     ///< resourceInterfere class-pair
-                                   ///< queries issued (all phases).
-  unsigned TotalGain = 0;          ///< Phi args sharing their result's
-                                   ///< resource after coalescing.
-};
-
 /// Runs the pinning-based phi coalescing over \p F, updating \p Ctx's
 /// resource classes and the def-operand pins of coalesced variables.
 ///
@@ -86,11 +70,13 @@ struct PhiCoalescingStats {
 /// pruning does not by itself guarantee that *transitively* connected
 /// component members never interfere, so components are merged
 /// incrementally and a vertex whose resource interferes with the
-/// accumulated class is skipped (counted in NumSafetySkips). This keeps
-/// the pinning free of strong interference in all cases.
-PhiCoalescingStats coalescePhis(Function &F, PinningContext &Ctx,
-                                const CFG &Cfg, const LoopInfo &LI,
-                                const PhiCoalescingOptions &Opts = {});
+/// accumulated class is skipped (counted in phicoalesce.safety_skips).
+/// This keeps the pinning free of strong interference in all cases.
+///
+/// Counts into the phicoalesce.* registry counters (affinity_edges,
+/// merges, gain, pair_queries, ...; docs/OBSERVABILITY.md).
+void coalescePhis(Function &F, PinningContext &Ctx, const CFG &Cfg,
+                  const LoopInfo &LI, const PhiCoalescingOptions &Opts = {});
 
 } // namespace lao
 

@@ -99,7 +99,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
   }
   if (Config.Sreedhar) {
     ScopedTimer T(R.Timings, "sreedhar");
-    R.SreedharInfo = convertToCSSA(F);
+    convertToCSSA(F);
     pinCSSAWebs(F);
   }
   if (CancelledAt("front-phases"))
@@ -125,7 +125,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     Analysis.reset();
     if (Config.PinPhi) {
       ScopedTimer T(R.Timings, "phi-coalescing");
-      R.Phi = coalescePhis(F, Ctx, AM.cfg(), AM.loopInfo(), Config.PhiOpts);
+      coalescePhis(F, Ctx, AM.cfg(), AM.loopInfo(), Config.PhiOpts);
       // Phi-coalescing only merges pinning classes; nothing is stale.
       AM.invalidate(PreservedAnalyses::all());
       assert(AM.epoch() == CtxEpoch &&
@@ -137,7 +137,7 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
     (void)CtxEpoch;
     {
       ScopedTimer T(R.Timings, "translate");
-      R.Translate = translateOutOfSSA(F, Ctx, AM.cfg());
+      translateOutOfSSA(F, Ctx, AM.cfg());
     }
   }
   // Translation replaced the instruction lists (blocks and branch targets
@@ -164,16 +164,16 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
 
   if (Config.Coalesce) {
     ScopedTimer T(R.Timings, "coalesce");
-    R.Coalescer = coalesceAggressively(F, {}, &AM);
+    unsigned Merges = coalesceAggressively(F, {}, &AM);
     // The zero-rebuild coalescer maintains AM's dense liveness exactly
     // through every merge round (and, when it merged, leaves its repaired
     // interference graph cached and exact) — weightedMoveCount below and
     // any later consumer keep riding the same cache.
     assert(AM.isCached(AnalysisKind::Liveness) &&
            "coalesceAggressively must preserve the managed liveness");
-    assert((R.Coalescer.NumMerges == 0 ||
-            AM.isCached(AnalysisKind::Interference)) &&
+    assert((Merges == 0 || AM.isCached(AnalysisKind::Interference)) &&
            "coalesceAggressively must leave its repaired graph cached");
+    (void)Merges;
   }
   R.CoalesceSeconds = R.Timings.seconds("coalesce");
 

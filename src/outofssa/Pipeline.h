@@ -93,7 +93,10 @@ PipelineConfig pipelinePreset(const std::string &Name);
 ///   phi-coalescing, translate, sequentialize, naive-abi, coalesce,
 ///   regalloc
 ///
-/// Outcome of one pipeline run over one function.
+/// Outcome of one pipeline run over one function. The passes' own work
+/// counts (phi copies, repairs, merges, ...) are not part of it: they go
+/// to the StatsRegistry, and a StatsScope around the call reads them for
+/// this run alone (docs/OBSERVABILITY.md).
 struct PipelineResult {
   bool Cancelled = false;       ///< CancelCheck fired; all else invalid.
   unsigned NumMoves = 0;        ///< Residual moves (Tables 2-4 metric).
@@ -101,10 +104,6 @@ struct PipelineResult {
   double Seconds = 0.0;         ///< Wall time of the whole pipeline.
   double CoalesceSeconds = 0.0; ///< Wall time of aggressive coalescing.
   TimerGroup Timings;           ///< Per-phase wall time (see above).
-  OutOfSSAStats Translate;
-  PhiCoalescingStats Phi;
-  CoalescerStats Coalescer;
-  SreedharStats SreedharInfo;
   unsigned MovesBeforeCoalesce = 0;
   /// Post-coalescing class-size histogram + interference-cache counters;
   /// only filled when PipelineConfig::CollectInterferenceStats is set.

@@ -173,11 +173,17 @@ private:
 
 namespace {
 
+/// What one conversion pass did (convertToCSSA publishes the rounds'
+/// totals to the sreedhar.* counters).
+struct RoundTally {
+  unsigned CopiesInserted = 0, PhisProcessed = 0, UnresolvedPairs = 0;
+};
+
 /// One pass of the per-phi conversion. Swap-shaped webs can need more
 /// than one pass: an inserted copy resolves the pair that triggered it
 /// but may itself interfere with another member merged later.
-SreedharStats convertToCSSAOnce(Function &F) {
-  SreedharStats Stats;
+RoundTally convertToCSSAOnce(Function &F) {
+  RoundTally Tally;
   CSSAState St(F);
 
   // Collect phis up front (in RPO-ish program order); copies never add
@@ -195,7 +201,7 @@ SreedharStats convertToCSSAOnce(Function &F) {
   for (size_t PI = 0; PI < Phis.size(); ++PI) {
     Instruction &Phi = *Phis[PI];
     BasicBlock *L0 = PhiBlock[PI];
-    ++Stats.NumPhisProcessed;
+    ++Tally.PhisProcessed;
 
     // Resources of this phi: operand index ~0u denotes the result.
     struct Res {
@@ -237,7 +243,7 @@ SreedharStats convertToCSSAOnce(Function &F) {
           Marked.insert(B);
         } else {
           Unresolved.push_back({A, B});
-          ++Stats.NumUnresolvedPairs;
+          ++Tally.UnresolvedPairs;
         }
       }
 
@@ -284,7 +290,7 @@ SreedharStats convertToCSSAOnce(Function &F) {
         Pred->insert(Pos, std::move(Copy));
         Phi.setUse(R.OperandIdx, NewArg);
       }
-      ++Stats.NumCopiesInserted;
+      ++Tally.CopiesInserted;
     }
     if (!Marked.empty())
       St.invalidate();
@@ -293,27 +299,27 @@ SreedharStats convertToCSSAOnce(Function &F) {
     for (unsigned K = 0; K < Phi.numUses(); ++K)
       St.merge(Phi.def(0), Phi.use(K));
   }
-  return Stats;
+  return Tally;
 }
 
 } // namespace
 
-SreedharStats lao::convertToCSSA(Function &F) {
-  SreedharStats Total;
+void lao::convertToCSSA(Function &F) {
+  // Copies and unresolved pairs sum over the rounds; phis_processed is
+  // the most any one round visited (every round visits every phi).
+  RoundTally Total;
   for (unsigned Round = 0; Round < 5; ++Round) {
-    SreedharStats Stats = convertToCSSAOnce(F);
-    Total.NumPhisProcessed =
-        std::max(Total.NumPhisProcessed, Stats.NumPhisProcessed);
-    Total.NumCopiesInserted += Stats.NumCopiesInserted;
-    Total.NumUnresolvedPairs += Stats.NumUnresolvedPairs;
-    if (Stats.NumCopiesInserted == 0 || findCSSAViolations(F).empty())
+    RoundTally Tally = convertToCSSAOnce(F);
+    Total.PhisProcessed = std::max(Total.PhisProcessed, Tally.PhisProcessed);
+    Total.CopiesInserted += Tally.CopiesInserted;
+    Total.UnresolvedPairs += Tally.UnresolvedPairs;
+    if (Tally.CopiesInserted == 0 || findCSSAViolations(F).empty())
       break;
   }
   LAO_STAT(sreedhar, runs) += 1;
-  LAO_STAT(sreedhar, copies_inserted) += Total.NumCopiesInserted;
-  LAO_STAT(sreedhar, phis_processed) += Total.NumPhisProcessed;
-  LAO_STAT(sreedhar, unresolved_pairs) += Total.NumUnresolvedPairs;
-  return Total;
+  LAO_STAT(sreedhar, copies_inserted) += Total.CopiesInserted;
+  LAO_STAT(sreedhar, phis_processed) += Total.PhisProcessed;
+  LAO_STAT(sreedhar, unresolved_pairs) += Total.UnresolvedPairs;
 }
 
 std::vector<std::pair<RegId, RegId>> lao::findCSSAViolations(Function &F) {

@@ -36,14 +36,9 @@
 
 namespace lao {
 
-struct SreedharStats {
-  unsigned NumCopiesInserted = 0;
-  unsigned NumPhisProcessed = 0;
-  unsigned NumUnresolvedPairs = 0;
-};
-
 /// Converts \p F (SSA, critical edges split) to CSSA by copy insertion.
-SreedharStats convertToCSSA(Function &F);
+/// Counts into the sreedhar.* registry counters.
+void convertToCSSA(Function &F);
 
 /// Pins every phi web (result and arguments, transitively) to a common
 /// resource via def pins, preferring a member already pinned to a

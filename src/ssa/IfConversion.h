@@ -28,16 +28,11 @@
 
 namespace lao {
 
-struct IfConversionStats {
-  unsigned NumDiamondsConverted = 0;
-  unsigned NumTrianglesConverted = 0;
-  unsigned NumPsisCreated = 0;
-};
-
 /// Converts eligible diamonds/triangles of SSA \p F into straight-line
 /// predicated code. \p MaxArmInsts bounds the speculated instruction
-/// count per arm.
-IfConversionStats convertIfsToPsi(Function &F, unsigned MaxArmInsts = 4);
+/// count per arm. Counts into the ifconvert.* registry counters
+/// (diamonds, triangles, psis).
+void convertIfsToPsi(Function &F, unsigned MaxArmInsts = 4);
 
 } // namespace lao
 

@@ -9,6 +9,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/Liveness.h"
 #include "ir/CFG.h"
+#include "support/Stats.h"
 
 #include <cassert>
 #include <map>
@@ -23,21 +24,24 @@ namespace {
 class Renamer {
 public:
   Renamer(Function &F, const DominatorTree &DT, const CFG &Cfg,
-          const std::map<const Instruction *, RegId> &PhiOriginal,
-          SSAStats &Stats)
-      : F(F), DT(DT), Cfg(Cfg), PhiOriginal(PhiOriginal), Stats(Stats) {
+          const std::map<const Instruction *, RegId> &PhiOriginal)
+      : F(F), DT(DT), Cfg(Cfg), PhiOriginal(PhiOriginal) {
     Stacks.resize(F.numValues());
   }
 
-  void run() { renameBlock(&F.entry()); }
+  /// Renames every definition; returns how many fresh names it made.
+  unsigned run() {
+    renameBlock(&F.entry());
+    return NumVarsRenamed;
+  }
 
 private:
   Function &F;
   const DominatorTree &DT;
   const CFG &Cfg;
   const std::map<const Instruction *, RegId> &PhiOriginal;
-  SSAStats &Stats;
   std::vector<std::vector<RegId>> Stacks;
+  unsigned NumVarsRenamed = 0;
 
   RegId top(RegId Orig) const {
     assert(!Stacks[Orig].empty() && "use of undefined variable");
@@ -47,7 +51,7 @@ private:
   RegId fresh(RegId Orig) {
     RegId New = F.makeVirtual(F.valueName(Orig));
     Stacks[Orig].push_back(New);
-    ++Stats.NumVarsRenamed;
+    ++NumVarsRenamed;
     return New;
   }
 
@@ -63,7 +67,7 @@ private:
       RegId New = F.makeVirtual(F.valueName(Orig));
       Stacks[Orig].push_back(New);
       Pushed.push_back({Orig, 1});
-      ++Stats.NumVarsRenamed;
+      ++NumVarsRenamed;
       I.setDef(DefIdx, New);
     };
 
@@ -107,8 +111,8 @@ private:
 
 } // namespace
 
-SSAStats lao::buildSSA(Function &F) {
-  SSAStats Stats;
+void lao::buildSSA(Function &F) {
+  unsigned NumPhisInserted = 0;
   CFG Cfg(F);
   DominatorTree DT(Cfg);
   DominanceFrontier DF(Cfg, DT);
@@ -147,7 +151,7 @@ SSAStats lao::buildSSA(Function &F) {
         auto Pos = Join->instructions().begin();
         auto Inserted = Join->insert(Pos, std::move(Phi));
         PhiOriginal[&*Inserted] = V;
-        ++Stats.NumPhisInserted;
+        ++NumPhisInserted;
         if (!DefBlocks[V].count(Join)) {
           DefBlocks[V].insert(Join);
           Work.push_back(Join);
@@ -156,6 +160,8 @@ SSAStats lao::buildSSA(Function &F) {
     }
   }
 
-  Renamer(F, DT, Cfg, PhiOriginal, Stats).run();
-  return Stats;
+  unsigned NumVarsRenamed = Renamer(F, DT, Cfg, PhiOriginal).run();
+  LAO_STAT(ssa, runs) += 1;
+  LAO_STAT(ssa, phis_inserted) += NumPhisInserted;
+  LAO_STAT(ssa, vars_renamed) += NumVarsRenamed;
 }

@@ -20,17 +20,12 @@
 
 namespace lao {
 
-/// Statistics returned by buildSSA.
-struct SSAStats {
-  unsigned NumPhisInserted = 0;
-  unsigned NumVarsRenamed = 0;
-};
-
 /// Converts \p F (non-SSA, virtual registers possibly multiply defined,
 /// no phis) into pruned SSA form, in place. Every use must have a
 /// definition on every path from the entry (the workload generators and
-/// parser-based tests guarantee this).
-SSAStats buildSSA(Function &F);
+/// parser-based tests guarantee this). Counts into the ssa.* registry
+/// counters (phis_inserted, vars_renamed).
+void buildSSA(Function &F);
 
 } // namespace lao
 

@@ -6,10 +6,15 @@
 ///
 /// \file
 /// A process-wide registry of named counters, in the spirit of LLVM's
-/// `-stats` machinery. A pass bumps a counter through the LAO_STAT macro:
+/// `-stats` machinery, and the only place pass counts are kept. A pass
+/// bumps a counter through the LAO_STAT macro:
 ///
-///   LAO_STAT(coalesce, merges) += Stats.NumMerges;
+///   LAO_STAT(coalesce, merges) += Tally.Merges; // once per call
 ///   ++LAO_STAT(liveness, analyses);
+///
+/// A pass that counts in a hot loop tallies into locals and publishes
+/// once per call: under a live StatsScope every bump also costs a
+/// hash-map update.
 ///
 /// The macro expands to a function-local static StatCounter that
 /// registers itself with the StatsRegistry singleton on first use, so a

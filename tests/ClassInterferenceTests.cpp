@@ -133,20 +133,23 @@ void expectMergeTraceEquality(const Function &Orig, InterferenceMode Mode,
   PinningContext::setCrossCheckOracle(false);
   PinningContext::setSweepEngineEnabled(true);
   Analyses On(*FOn, Mode);
-  PhiCoalescingStats StOn = coalescePhis(*FOn, On.Ctx, On.Cfg, On.LI);
+  StatsSnapshot StOn =
+      countersOf([&] { coalescePhis(*FOn, On.Ctx, On.Cfg, On.LI); });
   PinningContext::setSweepEngineEnabled(false);
   Analyses Off(*FOff, Mode);
-  PhiCoalescingStats StOff = coalescePhis(*FOff, Off.Ctx, Off.Cfg, Off.LI);
+  StatsSnapshot StOff =
+      countersOf([&] { coalescePhis(*FOff, Off.Ctx, Off.Cfg, Off.LI); });
 
-  EXPECT_EQ(StOn.NumAffinityEdges, StOff.NumAffinityEdges) << Orig.name();
-  EXPECT_EQ(StOn.NumInitialPruned, StOff.NumInitialPruned) << Orig.name();
-  EXPECT_EQ(StOn.NumWeightPruned, StOff.NumWeightPruned) << Orig.name();
-  EXPECT_EQ(StOn.NumMerges, StOff.NumMerges) << Orig.name();
-  EXPECT_EQ(StOn.NumUsePinMerges, StOff.NumUsePinMerges) << Orig.name();
-  EXPECT_EQ(StOn.NumPhysDeferred, StOff.NumPhysDeferred) << Orig.name();
-  EXPECT_EQ(StOn.NumSafetySkips, StOff.NumSafetySkips) << Orig.name();
-  EXPECT_EQ(StOn.NumPairQueries, StOff.NumPairQueries) << Orig.name();
-  EXPECT_EQ(StOn.TotalGain, StOff.TotalGain) << Orig.name();
+  // Every phicoalesce.* count matches (the classinterf.* ones measure the
+  // engine itself and legitimately differ).
+  auto PhiCounts = [](const StatsSnapshot &S) {
+    StatsSnapshot Out;
+    for (const auto &[Key, Value] : S)
+      if (Key.rfind("phicoalesce.", 0) == 0)
+        Out.emplace(Key, Value);
+    return Out;
+  };
+  EXPECT_EQ(PhiCounts(StOn), PhiCounts(StOff)) << Orig.name();
 
   // Identical merge traces leave identical pins behind.
   EXPECT_EQ(printFunction(*FOn), printFunction(*FOff)) << Orig.name();
@@ -296,9 +299,10 @@ TEST(ClassInterference, CacheEvictedOnMergeStaysExact) {
     for (size_t J = I + 1; J < Before.size(); ++J)
       S.Ctx.resourceInterfere(Before[I], Before[J]);
 
-  PhiCoalescingStats St = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  StatsSnapshot St =
+      countersOf([&] { coalescePhis(*F, S.Ctx, S.Cfg, S.LI); });
   auto R = S.Ctx.interferenceReport();
-  if (St.NumMerges > 0) {
+  if (St["phicoalesce.merges"] > 0) {
     EXPECT_GT(R.CacheEvictions, 0u)
         << "merging warmed classes must evict their cached verdicts";
   }
@@ -371,14 +375,15 @@ TEST(ClassInterference, ReportHistogramCoversClasses) {
   PinningContext::setCrossCheckOracle(false);
   PinningContext::setSweepEngineEnabled(true);
   Analyses S(*F);
-  PhiCoalescingStats St = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  StatsSnapshot St =
+      countersOf([&] { coalescePhis(*F, S.Ctx, S.Cfg, S.LI); });
   auto R = S.Ctx.interferenceReport();
   uint64_t Sum = 0;
   for (uint64_t Bucket : R.SizeHist)
     Sum += Bucket;
   EXPECT_EQ(Sum, R.NumClasses);
   EXPECT_GT(R.NumClasses, 0u);
-  if (St.NumPairQueries > 0) {
+  if (St["phicoalesce.pair_queries"] > 0) {
     EXPECT_TRUE(R.EngineUsed);
     EXPECT_GT(R.Queries + R.CacheHits, 0u);
     EXPECT_GT(R.PairCost, 0u) << "swept queries must record their bound";

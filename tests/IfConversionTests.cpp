@@ -49,9 +49,9 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  IfConversionStats Stats = convertIfsToPsi(*F);
-  EXPECT_EQ(Stats.NumDiamondsConverted, 1u);
-  EXPECT_EQ(Stats.NumPsisCreated, 1u);
+  StatsSnapshot Stats = countersOf([&] { convertIfsToPsi(*F); });
+  EXPECT_EQ(Stats["ifconvert.diamonds"], 1u);
+  EXPECT_EQ(Stats["ifconvert.psis"], 1u);
   EXPECT_EQ(countPsis(*F), 1u);
   expectWellFormed(*F);
   EXPECT_TRUE(verifySSA(*F).empty());
@@ -75,8 +75,8 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  IfConversionStats Stats = convertIfsToPsi(*F);
-  EXPECT_EQ(Stats.NumTrianglesConverted, 1u);
+  StatsSnapshot Stats = countersOf([&] { convertIfsToPsi(*F); });
+  EXPECT_EQ(Stats["ifconvert.triangles"], 1u);
   EXPECT_EQ(countPsis(*F), 1u);
   EXPECT_TRUE(verifySSA(*F).empty());
   expectEquivalent(*Before, *F, {3, 9});
@@ -106,8 +106,8 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  IfConversionStats Stats = convertIfsToPsi(*F);
-  EXPECT_EQ(Stats.NumPsisCreated, 2u);
+  StatsSnapshot Stats = countersOf([&] { convertIfsToPsi(*F); });
+  EXPECT_EQ(Stats["ifconvert.psis"], 2u);
   expectEquivalent(*Before, *F, {5, 5});
   expectEquivalent(*Before, *F, {5, 6});
 }
@@ -130,8 +130,8 @@ j:
   ret %x
 }
 )");
-  IfConversionStats Stats = convertIfsToPsi(*F);
-  EXPECT_EQ(Stats.NumDiamondsConverted, 0u);
+  StatsSnapshot Stats = countersOf([&] { convertIfsToPsi(*F); });
+  EXPECT_EQ(Stats["ifconvert.diamonds"], 0u);
   EXPECT_EQ(countPsis(*F), 0u);
 }
 
@@ -157,10 +157,12 @@ j:
 }
 )";
   auto F = parse(Text);
-  EXPECT_EQ(convertIfsToPsi(*F, /*MaxArmInsts=*/4).NumDiamondsConverted,
-            0u);
-  EXPECT_EQ(convertIfsToPsi(*F, /*MaxArmInsts=*/8).NumDiamondsConverted,
-            1u);
+  StatsSnapshot Short =
+      countersOf([&] { convertIfsToPsi(*F, /*MaxArmInsts=*/4); });
+  EXPECT_EQ(Short["ifconvert.diamonds"], 0u);
+  StatsSnapshot Long =
+      countersOf([&] { convertIfsToPsi(*F, /*MaxArmInsts=*/8); });
+  EXPECT_EQ(Long["ifconvert.diamonds"], 1u);
 }
 
 TEST(IfConversion, NestedDiamondsConverge) {
@@ -193,8 +195,9 @@ j0:
 }
 )");
   auto Before = cloneFunction(*F);
-  IfConversionStats Stats = convertIfsToPsi(*F, /*MaxArmInsts=*/6);
-  EXPECT_EQ(Stats.NumPsisCreated, 2u);
+  StatsSnapshot Stats =
+      countersOf([&] { convertIfsToPsi(*F, /*MaxArmInsts=*/6); });
+  EXPECT_EQ(Stats["ifconvert.psis"], 2u);
   EXPECT_EQ(countPsis(*F), 2u);
   expectEquivalent(*Before, *F, {4, 4});
   expectEquivalent(*Before, *F, {4, 5});
@@ -211,8 +214,7 @@ TEST(IfConversion, ConvertedCodeSurvivesFullPipeline) {
     P.MaxNesting = 2;
     auto F = generateProgram(P, "ifc" + std::to_string(Seed));
     normalizeToOptimizedSSA(*F);
-    IfConversionStats Stats = convertIfsToPsi(*F);
-    (void)Stats;
+    convertIfsToPsi(*F);
     expectWellFormed(*F);
     for (const auto &D : verifySSA(*F))
       FAIL() << "seed " << Seed << ": " << D;
@@ -226,7 +228,7 @@ TEST(IfConversion, ConvertedCodeSurvivesFullPipeline) {
 TEST(IfConversion, ConversionIncreasesPsiConstraintCoverage) {
   // Statistical sanity: over a batch of generated programs, conversion
   // produces a meaningful number of psis.
-  unsigned TotalPsis = 0;
+  uint64_t TotalPsis = 0;
   for (uint64_t Seed = 1300; Seed < 1320; ++Seed) {
     GeneratorParams P;
     P.Seed = Seed;
@@ -234,7 +236,7 @@ TEST(IfConversion, ConversionIncreasesPsiConstraintCoverage) {
     P.MaxNesting = 2;
     auto F = generateProgram(P, "cov" + std::to_string(Seed));
     normalizeToOptimizedSSA(*F);
-    TotalPsis += convertIfsToPsi(*F).NumPsisCreated;
+    TotalPsis += countersOf([&] { convertIfsToPsi(*F); })["ifconvert.psis"];
   }
   EXPECT_GE(TotalPsis, 5u);
 }

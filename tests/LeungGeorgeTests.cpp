@@ -21,8 +21,8 @@ using namespace lao::test;
 namespace {
 
 /// Runs split + pinningSP + translate + sequentialize on \p F and
-/// returns the translation stats.
-OutOfSSAStats translate(Function &F,
+/// returns the translation's counters.
+StatsSnapshot translate(Function &F,
                         InterferenceMode Mode = InterferenceMode::Precise) {
   splitCriticalEdges(F);
   collectSPConstraints(F);
@@ -30,7 +30,7 @@ OutOfSSAStats translate(Function &F,
   DominatorTree DT(Cfg);
   LivenessQuery LV(Cfg, DT);
   PinningContext Ctx(F, Cfg, DT, LV, Mode);
-  OutOfSSAStats Stats = translateOutOfSSA(F, Ctx, Cfg);
+  StatsSnapshot Stats = countersOf([&] { translateOutOfSSA(F, Ctx, Cfg); });
   sequentializeParallelCopies(F);
   return Stats;
 }
@@ -56,10 +56,10 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumPhisRemoved, 1u);
-  EXPECT_EQ(Stats.NumPhiCopies, 2u) << "one copy per predecessor";
-  EXPECT_EQ(Stats.NumRepairs, 0u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.phis_removed"], 1u);
+  EXPECT_EQ(Stats["translate.phi_copies"], 2u) << "one copy per predecessor";
+  EXPECT_EQ(Stats["translate.repairs"], 0u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {1});
   expectEquivalent(*Before, *F, {0});
@@ -85,9 +85,9 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
+  StatsSnapshot Stats = translate(*F);
   EXPECT_EQ(countMoves(*F), 0u);
-  EXPECT_GE(Stats.NumElidedCopies, 2u);
+  EXPECT_GE(Stats["translate.elided_copies"], 2u);
   expectEquivalent(*Before, *F, {1});
   expectEquivalent(*Before, *F, {0});
 }
@@ -100,15 +100,15 @@ TEST(LeungGeorge, Figure3RepairAndElision) {
   DominatorTree DT(Cfg);
   LivenessQuery LV(Cfg, DT);
   PinningContext Ctx(*F, Cfg, DT, LV);
-  OutOfSSAStats Stats = translateOutOfSSA(*F, Ctx, Cfg);
+  StatsSnapshot Stats = countersOf([&] { translateOutOfSSA(*F, Ctx, Cfg); });
   sequentializeParallelCopies(*F);
 
   // x2 is killed by the call result x4 (both in R0's class) and used at
   // the return: exactly one repair.
-  EXPECT_EQ(Stats.NumRepairs, 1u);
+  EXPECT_EQ(Stats["translate.repairs"], 1u);
   // The call's use of x2 pinned to R0 is elided (already in R0), as are
   // the phi copies whose values are produced in place.
-  EXPECT_GE(Stats.NumElidedCopies, 1u);
+  EXPECT_GE(Stats["translate.elided_copies"], 1u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {5, 9});
   expectEquivalent(*Before, *F, {0, 1});
@@ -133,8 +133,8 @@ TEST(LeungGeorge, Figure8PartialCoalescingMechanism) {
     for (Instruction &I : BB->instructions())
       if (I.isPhi())
         I.pinDef(0, Target::R0);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumRepairs, 1u) << "z killed by the f3 call result";
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.repairs"], 1u) << "z killed by the f3 call result";
   EXPECT_EQ(countMoves(*F), 2u)
       << "partial coalescing trades two phi moves and the call-argument "
          "copy for one repair plus the return-value copy";
@@ -148,8 +148,8 @@ TEST(LeungGeorge, Figure12PinnedUseReadsOwnResource) {
   // no repair chain — matching the figure's "optimal" column.
   auto F = makeFigure12();
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_EQ(Stats.NumRepairs, 0u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_EQ(Stats["translate.repairs"], 0u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {3});
 }
@@ -165,11 +165,11 @@ entry:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
+  StatsSnapshot Stats = translate(*F);
   // Every pinned value is produced in its target register already:
   // a arrives in R0, r and s are defined there, b stays in R1.
   EXPECT_EQ(countMoves(*F), 0u);
-  EXPECT_GE(Stats.NumElidedCopies, 5u);
+  EXPECT_GE(Stats["translate.elided_copies"], 5u);
   expectEquivalent(*Before, *F, {11, 22});
 }
 
@@ -256,8 +256,8 @@ done:
 }
 )");
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  EXPECT_GE(Stats.NumRepairs, 1u);
+  StatsSnapshot Stats = translate(*F);
+  EXPECT_GE(Stats["translate.repairs"], 1u);
   expectWellFormed(*F);
   expectEquivalent(*Before, *F, {4});
   expectEquivalent(*Before, *F, {1});
@@ -307,8 +307,7 @@ TEST(LeungGeorge, OutputHasNoPinsLeft) {
 TEST(LeungGeorge, Figure1EndToEnd) {
   auto F = makeFigure1();
   auto Before = cloneFunction(*F);
-  OutOfSSAStats Stats = translate(*F);
-  (void)Stats;
+  translate(*F);
   expectWellFormed(*F);
   // Every ABI-pinned operand now names its physical register.
   for (const auto &BB : F->blocks())

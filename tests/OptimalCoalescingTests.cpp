@@ -74,8 +74,10 @@ GainPair measure(Function &F) {
     // block-local gain).
     PhiCoalescingOptions Opts;
     Opts.PhysMergeMinMult = 1;
-    PhiCoalescingStats Stats = coalescePhis(F, Ctx, Cfg, LI, Opts);
-    Result.Achieved = Stats.TotalGain - PreGain;
+    StatsSnapshot Stats =
+        countersOf([&] { coalescePhis(F, Ctx, Cfg, LI, Opts); });
+    Result.Achieved =
+        static_cast<unsigned>(Stats["phicoalesce.gain"]) - PreGain;
   }
   return Result;
 }

@@ -38,17 +38,14 @@ struct Analyses {
 
 /// Split edges, pin SP+ABI, coalesce, translate, sequentialize; returns
 /// the final move count.
-unsigned fullTranslate(Function &F, PhiCoalescingStats *StatsOut = nullptr,
-                       const PhiCoalescingOptions &Opts = {},
+unsigned fullTranslate(Function &F, const PhiCoalescingOptions &Opts = {},
                        bool PinABI = false) {
   splitCriticalEdges(F);
   collectSPConstraints(F);
   if (PinABI)
     collectABIConstraints(F);
   Analyses S(F);
-  PhiCoalescingStats Stats = coalescePhis(F, S.Ctx, S.Cfg, S.LI, Opts);
-  if (StatsOut)
-    *StatsOut = Stats;
+  coalescePhis(F, S.Ctx, S.Cfg, S.LI, Opts);
   translateOutOfSSA(F, S.Ctx, S.Cfg);
   sequentializeParallelCopies(F);
   return countMoves(F);
@@ -61,9 +58,9 @@ TEST(PhiCoalescing, Figure5OneMoveNotTwo) {
   // paper's solution (c) costs exactly one move.
   auto F = makeFigure5();
   auto Before = cloneFunction(*F);
-  PhiCoalescingStats Stats;
-  unsigned Moves = fullTranslate(*F, &Stats);
-  EXPECT_EQ(Stats.TotalGain, 1u) << "exactly one argument coalesced";
+  unsigned Moves = 0;
+  StatsSnapshot Stats = countersOf([&] { Moves = fullTranslate(*F); });
+  EXPECT_EQ(Stats["phicoalesce.gain"], 1u) << "exactly one argument coalesced";
   EXPECT_EQ(Moves, 1u);
   expectEquivalent(*Before, *F, {3, 8});
   expectEquivalent(*Before, *F, {8, 3});
@@ -88,9 +85,9 @@ j:
 }
 )");
   auto Before = cloneFunction(*F);
-  PhiCoalescingStats Stats;
-  unsigned Moves = fullTranslate(*F, &Stats);
-  EXPECT_EQ(Stats.TotalGain, 2u);
+  unsigned Moves = 0;
+  StatsSnapshot Stats = countersOf([&] { Moves = fullTranslate(*F); });
+  EXPECT_EQ(Stats["phicoalesce.gain"], 2u);
   EXPECT_EQ(Moves, 0u) << "both arguments coalesce with the result";
   expectEquivalent(*Before, *F, {1});
   expectEquivalent(*Before, *F, {0});
@@ -102,7 +99,8 @@ TEST(PhiCoalescing, Figure7TwoClassesEmerge) {
 
   splitCriticalEdges(*F);
   Analyses S(*F);
-  PhiCoalescingStats Stats = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  StatsSnapshot Stats =
+      countersOf([&] { coalescePhis(*F, S.Ctx, S.Cfg, S.LI); });
 
   // X1 and X3 strongly interfere (same block) and must stay in distinct
   // classes; the shared argument x2 lands in exactly one of them.
@@ -114,7 +112,7 @@ TEST(PhiCoalescing, Figure7TwoClassesEmerge) {
   RegId X2Res = S.Ctx.resourceOf(X2v);
   EXPECT_TRUE(X2Res == S.Ctx.resourceOf(X1) ||
               X2Res == S.Ctx.resourceOf(X3));
-  EXPECT_GE(Stats.NumMerges, 2u);
+  EXPECT_GE(Stats["phicoalesce.merges"], 2u);
 
   translateOutOfSSA(*F, S.Ctx, S.Cfg);
   sequentializeParallelCopies(*F);
@@ -182,7 +180,8 @@ TEST(PhiCoalescing, GainReportedMatchesClasses) {
   auto F = makeFigure5();
   splitCriticalEdges(*F);
   Analyses S(*F);
-  PhiCoalescingStats Stats = coalescePhis(*F, S.Ctx, S.Cfg, S.LI);
+  StatsSnapshot Stats =
+      countersOf([&] { coalescePhis(*F, S.Ctx, S.Cfg, S.LI); });
   unsigned Gain = 0;
   for (const auto &BB : F->blocks())
     for (const Instruction &I : BB->instructions()) {
@@ -191,7 +190,7 @@ TEST(PhiCoalescing, GainReportedMatchesClasses) {
       for (unsigned K = 0; K < I.numUses(); ++K)
         Gain += S.Ctx.resourceOf(I.use(K)) == S.Ctx.resourceOf(I.def(0));
     }
-  EXPECT_EQ(Stats.TotalGain, Gain);
+  EXPECT_EQ(Stats["phicoalesce.gain"], Gain);
 }
 
 TEST(PhiCoalescing, CoalescedDefsArePinnedInIR) {
@@ -216,7 +215,7 @@ TEST(PhiCoalescing, DepthConstrainedVariantStaysCorrect) {
   auto Before = cloneFunction(*F);
   PhiCoalescingOptions Opts;
   Opts.DepthConstrained = true;
-  fullTranslate(*F, nullptr, Opts);
+  fullTranslate(*F, Opts);
   expectEquivalent(*Before, *F, {9});
 }
 
@@ -228,8 +227,8 @@ TEST(PhiCoalescing, FirstFoundHeuristicNeverBeatsWeighted) {
     auto FF = Make();
     PhiCoalescingOptions W, FFOpts;
     FFOpts.Heuristic = PruneHeuristic::FirstFound;
-    unsigned MW = fullTranslate(*FW, nullptr, W);
-    unsigned MF = fullTranslate(*FF, nullptr, FFOpts);
+    unsigned MW = fullTranslate(*FW, W);
+    unsigned MF = fullTranslate(*FF, FFOpts);
     EXPECT_LE(MW, MF) << FW->name();
   }
 }

@@ -56,8 +56,8 @@ j:
   ret %v
 }
 )");
-  SSAStats Stats = buildSSA(*F);
-  EXPECT_EQ(Stats.NumPhisInserted, 1u);
+  StatsSnapshot Stats = countersOf([&] { buildSSA(*F); });
+  EXPECT_EQ(Stats["ssa.phis_inserted"], 1u);
   expectWellFormed(*F);
   for (const auto &D : verifySSA(*F))
     FAIL() << D;
@@ -84,8 +84,8 @@ j:
   ret %a
 }
 )");
-  SSAStats Stats = buildSSA(*F);
-  EXPECT_EQ(Stats.NumPhisInserted, 0u);
+  StatsSnapshot Stats = countersOf([&] { buildSSA(*F); });
+  EXPECT_EQ(Stats["ssa.phis_inserted"], 0u);
 }
 
 TEST(SSAConstruction, LoopVariableGetsHeaderPhi) {

@@ -38,9 +38,9 @@ j:
 }
 )");
   splitCriticalEdges(*F);
-  SreedharStats Stats = convertToCSSA(*F);
-  EXPECT_EQ(Stats.NumPhisProcessed, 1u);
-  EXPECT_EQ(Stats.NumCopiesInserted, 0u);
+  StatsSnapshot Stats = countersOf([&] { convertToCSSA(*F); });
+  EXPECT_EQ(Stats["sreedhar.phis_processed"], 1u);
+  EXPECT_EQ(Stats["sreedhar.copies_inserted"], 0u);
 }
 
 TEST(Sreedhar, InsertsCopyForInterferingArg) {
@@ -48,8 +48,8 @@ TEST(Sreedhar, InsertsCopyForInterferingArg) {
   auto F = makeFigure5();
   auto Before = cloneFunction(*F);
   splitCriticalEdges(*F);
-  SreedharStats Stats = convertToCSSA(*F);
-  EXPECT_GE(Stats.NumCopiesInserted, 1u);
+  StatsSnapshot Stats = countersOf([&] { convertToCSSA(*F); });
+  EXPECT_GE(Stats["sreedhar.copies_inserted"], 1u);
   EXPECT_TRUE(verifySSA(*F).empty()) << "conversion preserves SSA";
   expectEquivalent(*Before, *F, {2, 5});
 }
@@ -77,8 +77,8 @@ done:
 )");
   auto Before = cloneFunction(*F);
   splitCriticalEdges(*F);
-  SreedharStats Stats = convertToCSSA(*F);
-  EXPECT_GE(Stats.NumCopiesInserted, 1u);
+  StatsSnapshot Stats = countersOf([&] { convertToCSSA(*F); });
+  EXPECT_GE(Stats["sreedhar.copies_inserted"], 1u);
   pinCSSAWebs(*F);
 
   auto Translated = cloneFunction(*Before);

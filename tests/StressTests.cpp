@@ -32,8 +32,9 @@ TEST(Stress, VeryLargeFunctionThroughFullPipeline) {
   EXPECT_TRUE(verifySSA(*F).empty());
 
   auto Translated = cloneFunction(*F);
-  PipelineResult R = runPipeline(*Translated, pipelinePreset("Lphi,ABI+C"));
-  EXPECT_GT(R.Translate.NumPhisRemoved, 20u)
+  StatsSnapshot Counts = countersOf(
+      [&] { runPipeline(*Translated, pipelinePreset("Lphi,ABI+C")); });
+  EXPECT_GT(Counts["translate.phis_removed"], 20u)
       << "a 400-statement nest should carry a real phi population";
   expectWellFormed(*Translated);
   expectEquivalent(*F, *Translated, {1, 2, 3, 4});

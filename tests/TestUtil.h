@@ -13,6 +13,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,15 @@ inline void expectEquivalent(const Function &Before, const Function &After,
   EXPECT_EQ(RB.Outputs, RA.Outputs)
       << "output traces differ\n--- before ---\n"
       << printFunction(Before) << "--- after ---\n" << printFunction(After);
+}
+
+/// Runs \p Fn under a fresh StatsScope and returns the counters it
+/// bumped on this thread, keyed "pass.name" (a counter that did not move
+/// is absent, so `Counts["pass.name"]` reads 0 for it).
+template <typename Callable> StatsSnapshot countersOf(Callable &&Fn) {
+  StatsScope Scope;
+  Fn();
+  return Scope.snapshot();
 }
 
 } // namespace test

@@ -20,9 +20,6 @@
 //                         regalloc/RegAlloc.h), e.g. chordal or
 //                         chaitin-briggs/load-store-opt; no value means
 //                         the default chaitin-briggs/spill-everywhere.
-//                         An all-digits value is the deprecated
-//                         register-count spelling (--regalloc=N), kept
-//                         as an alias for --regalloc --regalloc-regs=N.
 //     --regalloc-regs=N   size of the allocatable pool (default 12)
 //     --run a,b,...       execute with the given integer arguments and
 //                         print the trace
@@ -33,18 +30,13 @@
 //                         (docs/EXEC.md)
 //     --dot               print the CFG as Graphviz instead of text
 //     --verify            print structural/pinning/SSA diagnostics
-//     --stats             print pass statistics (including the global
-//                         counter registry, LLVM -stats style)
+//     --stats             print the move totals and the counter
+//                         registry (every pass's counts, LLVM -stats
+//                         style; docs/OBSERVABILITY.md)
 //     --interference-stats
 //                         print the pinning class-size histogram and the
 //                         class-interference cache hit rate (pipeline
 //                         runs only)
-//     --coalesce-stats    print the aggressive coalescer's worklist
-//                         profile: merges per round, graph builds vs
-//                         repair scans, push/pop/requeue traffic and the
-//                         peak worklist depth (pipeline runs only; the
-//                         same numbers reach --timing-json and the bench
-//                         JSON as coalesce.* counters)
 //     --timing-json=<f>   write per-pass timings + counters as JSON
 //
 //===----------------------------------------------------------------------===//
@@ -69,6 +61,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -83,12 +76,12 @@ struct Options {
   bool IfConvert = false;
   std::string Pipeline;
   bool RegAlloc = false;
+  std::optional<std::string> RegAllocPreset; ///< --regalloc=<preset>
   RegAllocOptions RegAllocOpts;
   bool Dot = false;
   bool Verify = false;
   bool Stats = false;
   bool InterferenceStats = false;
-  bool CoalesceStats = false;
   std::string TimingJson;
   std::vector<uint64_t> RunArgs;
   bool Run = false;
@@ -102,7 +95,7 @@ int usage(const char *Argv0) {
       "usage: %s [--ssa] [--ifconvert] [--pipeline=<preset>] "
       "[--regalloc[=<preset>]] [--regalloc-regs=N] [--run a,b,...] "
       "[--exec=vm|interp|both] "
-      "[--verify] [--stats] [--interference-stats] [--coalesce-stats] "
+      "[--verify] [--stats] [--interference-stats] "
       "[--timing-json=<file>] <file.lai|->\n",
       Argv0);
   return 2;
@@ -121,27 +114,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.RegAlloc = true;
     } else if (A.rfind("--regalloc=", 0) == 0) {
       Opts.RegAlloc = true;
-      std::string Value = A.substr(std::strlen("--regalloc="));
-      if (!Value.empty() &&
-          Value.find_first_not_of("0123456789") == std::string::npos) {
-        // Deprecated register-count spelling, kept as an alias (same
-        // precedent as lao-server's --max-frame-bytes).
-        Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(
-            std::strtoul(Value.c_str(), nullptr, 10));
-      } else {
-        std::optional<RegAllocOptions> RA = regAllocPresetOpt(Value);
-        if (!RA) {
-          std::fprintf(stderr,
-                       "unknown regalloc preset '%s' (want "
-                       "<allocator>[/<spill-model>], see "
-                       "regalloc/RegAlloc.h)\n",
-                       Value.c_str());
-          return false;
-        }
-        unsigned NumRegs = Opts.RegAllocOpts.NumRegs;
-        Opts.RegAllocOpts = *RA;
-        Opts.RegAllocOpts.NumRegs = NumRegs; // --regalloc-regs may precede.
-      }
+      Opts.RegAllocPreset = A.substr(std::strlen("--regalloc="));
     } else if (A.rfind("--regalloc-regs=", 0) == 0) {
       Opts.RegAllocOpts.NumRegs = static_cast<unsigned>(std::strtoul(
           A.c_str() + std::strlen("--regalloc-regs="), nullptr, 10));
@@ -169,8 +142,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Stats = true;
     } else if (A == "--interference-stats") {
       Opts.InterferenceStats = true;
-    } else if (A == "--coalesce-stats") {
-      Opts.CoalesceStats = true;
     } else if (A.rfind("--timing-json=", 0) == 0) {
       Opts.TimingJson = A.substr(std::strlen("--timing-json="));
     } else if (!A.empty() && A[0] == '-' && A != "-") {
@@ -189,6 +160,18 @@ int main(int Argc, char **Argv) {
   Options Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);
+  if (Opts.RegAllocPreset) {
+    std::optional<RegAllocOptions> RA = regAllocPresetOpt(*Opts.RegAllocPreset);
+    if (!RA) {
+      std::fprintf(stderr,
+                   "unknown regalloc preset '%s' (want "
+                   "<allocator>[/<spill-model>], see regalloc/RegAlloc.h)\n",
+                   Opts.RegAllocPreset->c_str());
+      return 1;
+    }
+    RA->NumRegs = Opts.RegAllocOpts.NumRegs; // --regalloc-regs=N
+    Opts.RegAllocOpts = *RA;
+  }
 
   std::string Text;
   if (Opts.InputPath == "-") {
@@ -230,14 +213,8 @@ int main(int Argc, char **Argv) {
       for (const std::string &D : verifySSA(*F))
         std::fprintf(stderr, "ssa: %s\n", D.c_str());
   }
-  if (Opts.IfConvert) {
-    IfConversionStats S = convertIfsToPsi(*F);
-    if (Opts.Stats)
-      std::fprintf(stderr,
-                   "ifconvert: %u diamonds, %u triangles, %u psis\n",
-                   S.NumDiamondsConverted, S.NumTrianglesConverted,
-                   S.NumPsisCreated);
-  }
+  if (Opts.IfConvert)
+    convertIfsToPsi(*F);
   if (!Opts.Pipeline.empty()) {
     std::optional<PipelineConfig> Config = pipelinePresetOpt(Opts.Pipeline);
     if (!Config) {
@@ -279,34 +256,10 @@ int main(int Argc, char **Argv) {
                      static_cast<unsigned long long>(IR.PairwiseQueries));
       std::fprintf(stderr, "\n");
     }
-    if (Opts.CoalesceStats) {
-      const CoalescerStats &CS = R.Coalescer;
-      std::fprintf(stderr,
-                   "coalesce %s: %u merges in %u rounds, %u moves removed\n"
-                   "  graph: %u builds, %u repair scans, %u stale edges "
-                   "removed\n"
-                   "  worklist: %u pushes, %u pops, %u requeues, peak depth "
-                   "%u, %u confirm scans\n",
-                   F->name().c_str(), CS.NumMerges, CS.NumRounds,
-                   CS.NumMovesRemoved, CS.NumRebuilds, CS.NumRepairScans,
-                   CS.NumStaleEdgesRemoved, CS.NumWorklistPushes,
-                   CS.NumWorklistPops, CS.NumRequeues, CS.MaxWorklistDepth,
-                   CS.NumConfirmScans);
-      if (!CS.RoundMerges.empty()) {
-        std::fprintf(stderr, "  merges per round:");
-        for (unsigned M : CS.RoundMerges)
-          std::fprintf(stderr, " %u", M);
-        std::fprintf(stderr, "\n");
-      }
-    }
     if (Opts.Stats)
-      std::fprintf(stderr,
-                   "pipeline %s: moves=%u weighted=%llu phi-copies=%u "
-                   "pin-copies=%u repairs=%u elided=%u\n",
+      std::fprintf(stderr, "pipeline %s: moves=%u weighted=%llu\n",
                    Opts.Pipeline.c_str(), R.NumMoves,
-                   static_cast<unsigned long long>(R.WeightedMoves),
-                   R.Translate.NumPhiCopies, R.Translate.NumPinCopies,
-                   R.Translate.NumRepairs, R.Translate.NumElidedCopies);
+                   static_cast<unsigned long long>(R.WeightedMoves));
     if (!Opts.TimingJson.empty()) {
       StatsSnapshot Counters =
           StatsRegistry::delta(Before, StatsRegistry::instance().snapshot());
