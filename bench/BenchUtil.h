@@ -5,15 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-table bench binaries: suite caching, running
-/// a pipeline configuration over a suite (serially or on a thread pool),
-/// printing paper-style tables (first column absolute, remaining columns
-/// as +/- deltas, exactly like Tables 2, 3 and 5 of the paper), and the
-/// `--json=<file>` machine-readable output mode.
-///
-/// Every binary prints its table(s) on startup, optionally writes its
-/// BENCH_<table>.json, and then runs the registered google-benchmark
-/// timings.
+/// Helpers shared by the bench binaries: suite caching, the generated
+/// scale sweep, running a pipeline configuration over a suite (serially
+/// or on a thread pool), the BenchReport behind every `--json` file, and
+/// the one-option argument parsing every binary uses.
 ///
 /// Determinism: the parallel runOnSuite only parallelizes the per-function
 /// pipeline executions; per-function results land in an index-addressed
@@ -27,17 +22,17 @@
 #ifndef LAO_BENCH_BENCHUTIL_H
 #define LAO_BENCH_BENCHUTIL_H
 
-#include "exec/Interpreter.h"
 #include "ir/Clone.h"
 #include "outofssa/Pipeline.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
+#include "workloads/Generator.h"
 #include "workloads/Suites.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,6 +57,74 @@ inline ThreadPool &sharedPool() {
   return Pool;
 }
 
+/// One point of the generated compile-time scaling sweep: \p Count
+/// functions of \p NumStatements top-level statements each.
+struct ScaleSpec {
+  const char *Name;
+  unsigned NumStatements;
+  unsigned MaxNesting;
+  unsigned Count;
+};
+
+constexpr ScaleSpec ScaleSweep[] = {
+    {"scale_n40", 40, 2, 12},
+    {"scale_n120", 120, 3, 8},
+    {"scale_n320", 320, 3, 4},
+    {"scale_n640", 640, 4, 2},
+    {"scale_n1280", 1280, 4, 1},
+};
+
+/// Builds the suite for one sweep point: deterministic seeds, normalized
+/// to the same optimized pruned SSA the named suites ship. No interpreter
+/// inputs — the sweep exists to measure cost, not to check semantics
+/// (the named suites and tests cover that).
+inline std::vector<Workload> makeScaleSuite(const ScaleSpec &Spec) {
+  std::vector<Workload> Suite;
+  for (unsigned I = 0; I < Spec.Count; ++I) {
+    GeneratorParams P;
+    P.Seed = 0x5CA1E000 + 7919 * I + Spec.NumStatements;
+    P.NumStatements = Spec.NumStatements;
+    P.MaxNesting = Spec.MaxNesting;
+    P.CallPercent = 20; // ABI pressure grows the coalescer workload.
+    Workload W;
+    W.Name = std::string(Spec.Name) + "_f" + std::to_string(I);
+    W.F = generateProgram(P, W.Name);
+    normalizeToOptimizedSSA(*W.F);
+    Suite.push_back(std::move(W));
+  }
+  return Suite;
+}
+
+/// Writes \p Json and a newline to \p Path; exits 1 if it cannot.
+inline void writeJsonFile(const std::string &Path, const std::string &Json) {
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  if (!Out) {
+    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+    std::exit(1);
+  }
+  std::fprintf(Out, "%s\n", Json.c_str());
+  std::fclose(Out);
+}
+
+/// Parses a bench binary's command line, which takes one option,
+/// `<Flag><value>` (e.g. `--json=<file>`). Returns the value, or "" when
+/// the option is absent. Any other argument prints a usage line and
+/// exits 2.
+inline std::string parseBenchArgs(int Argc, char **Argv, const char *Flag,
+                                  const char *Meta) {
+  std::string Value;
+  size_t Len = std::strlen(Flag);
+  for (int K = 1; K < Argc; ++K) {
+    if (std::strncmp(Argv[K], Flag, Len) != 0) {
+      std::fprintf(stderr, "unknown argument '%s'\nusage: %s [%s%s]\n",
+                   Argv[K], Argv[0], Flag, Meta);
+      std::exit(2);
+    }
+    Value = Argv[K] + Len;
+  }
+  return Value;
+}
+
 /// Aggregate outcome of a configuration over one suite.
 struct SuiteTotals {
   uint64_t Moves = 0;
@@ -76,29 +139,6 @@ struct SuiteTotals {
   StatsSnapshot Counters;
 };
 
-/// Runs \p Config on a fresh clone of one workload; optionally verifies
-/// interpreter equivalence and aborts loudly on a miscompile (used to
-/// keep the bench numbers trustworthy).
-inline PipelineResult runOnWorkload(const Workload &W,
-                                    const PipelineConfig &Config,
-                                    bool Check) {
-  auto F = cloneFunction(*W.F);
-  PipelineResult R = runPipeline(*F, Config);
-  if (Check)
-    for (const auto &Args : W.Inputs) {
-      ExecResult Before = interpret(*W.F, Args);
-      ExecResult After = interpret(*F, Args);
-      if (!Before.sameObservable(After)) {
-        std::fprintf(stderr,
-                     "MISCOMPILE: %s under %s (inputs differ in "
-                     "observable trace)\n",
-                     W.Name.c_str(), Config.Name.c_str());
-        std::abort();
-      }
-    }
-  return R;
-}
-
 /// Runs \p Config on a fresh clone of every suite member. Functions are
 /// independent, so when \p Pool is non-null and has more than one worker
 /// they run concurrently; the reduction below is always in suite order
@@ -106,17 +146,18 @@ inline PipelineResult runOnWorkload(const Workload &W,
 /// for the strictly serial path.
 inline SuiteTotals runOnSuite(const std::vector<Workload> &Suite,
                               const PipelineConfig &Config,
-                              bool Check = false,
                               ThreadPool *Pool = &sharedPool()) {
   StatsSnapshot Before = StatsRegistry::instance().snapshot();
   std::vector<PipelineResult> Results(Suite.size());
+  auto RunOne = [&](size_t I) {
+    auto F = cloneFunction(*Suite[I].F);
+    Results[I] = runPipeline(*F, Config);
+  };
   if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(Suite.size(), [&](size_t I) {
-      Results[I] = runOnWorkload(Suite[I], Config, Check);
-    });
+    Pool->parallelFor(Suite.size(), RunOne);
   else
     for (size_t I = 0; I < Suite.size(); ++I)
-      Results[I] = runOnWorkload(Suite[I], Config, Check);
+      RunOne(I);
 
   SuiteTotals Totals;
   for (const PipelineResult &R : Results) {
@@ -203,13 +244,7 @@ public:
 
   /// Writes jsonString(BenchName) to \p Path.
   void writeJson(const std::string &Path, const std::string &BenchName) const {
-    std::FILE *Out = std::fopen(Path.c_str(), "w");
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-      std::exit(1);
-    }
-    std::fprintf(Out, "%s\n", jsonString(BenchName).c_str());
-    std::fclose(Out);
+    writeJsonFile(Path, jsonString(BenchName));
   }
 
 private:
@@ -221,62 +256,6 @@ private:
   std::vector<Record> Records;
   std::map<std::string, size_t> Index;
 };
-
-/// Extracts a leading `--json=<file>` from the argument list (so the
-/// remaining arguments can go straight to benchmark::Initialize).
-/// Returns the file path, or "" when the flag is absent.
-inline std::string extractJsonPath(int &Argc, char **Argv) {
-  std::string Path;
-  int W = 1;
-  for (int K = 1; K < Argc; ++K) {
-    if (std::strncmp(Argv[K], "--json=", 7) == 0)
-      Path = Argv[K] + 7;
-    else
-      Argv[W++] = Argv[K];
-  }
-  Argc = W;
-  return Path;
-}
-
-/// One column of a paper-style table. Measure receives the suite's name
-/// and members; implementations route through a BenchReport so the JSON
-/// output matches the table exactly.
-struct Column {
-  std::string Header;
-  std::function<uint64_t(const std::string &, const std::vector<Workload> &)>
-      Measure;
-};
-
-/// Prints a table in the paper's format: the first column absolute, the
-/// others as signed deltas against it.
-inline void printDeltaTable(const std::string &Title,
-                            const std::vector<Column> &Columns,
-                            const char *Footnote = nullptr) {
-  std::printf("\n%s\n", Title.c_str());
-  std::printf("%-14s", "benchmark");
-  for (const Column &C : Columns)
-    std::printf("%16s", C.Header.c_str());
-  std::printf("\n");
-  for (const auto &[Name, Suite] : suites()) {
-    std::printf("%-14s", Name.c_str());
-    uint64_t Base = 0;
-    for (size_t K = 0; K < Columns.size(); ++K) {
-      uint64_t V = Columns[K].Measure(Name, Suite);
-      if (K == 0) {
-        Base = V;
-        std::printf("%16llu", static_cast<unsigned long long>(V));
-      } else {
-        long long Delta = static_cast<long long>(V) -
-                          static_cast<long long>(Base);
-        std::printf("%+16lld", Delta);
-      }
-    }
-    std::printf("\n");
-  }
-  if (Footnote)
-    std::printf("%s\n", Footnote);
-  std::fflush(stdout);
-}
 
 } // namespace bench
 } // namespace lao

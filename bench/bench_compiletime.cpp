@@ -7,18 +7,13 @@
 // The paper's compile-time argument ([CC3] and the Table 4 discussion):
 // the repeated register coalescer's cost is proportional to the number
 // of move instructions it has to process, so handling coalescing at the
-// SSA level shrinks the expensive phase. This bench (a) prints the
-// coalescer's share of pipeline time and its merge counts for the pinned
-// vs naive configurations, and (b) registers google-benchmark timings of
-// the full pipelines.
+// SSA level shrinks the expensive phase. This bench prints the
+// coalescer's merge counts for the pinned vs naive configurations, and
+// the pipelines' wall-clock over a sweep of generated workloads.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-
-#include "workloads/Generator.h"
-
-#include <benchmark/benchmark.h>
 
 using namespace lao;
 using namespace lao::bench;
@@ -26,48 +21,6 @@ using namespace lao::bench;
 namespace {
 
 BenchReport Report;
-
-//===----------------------------------------------------------------------===//
-// Scaling sweep: generated workloads of increasing size
-//===----------------------------------------------------------------------===//
-
-/// One point of the compile-time scaling sweep: \p Count generated
-/// functions of \p NumStatements top-level statements each.
-struct ScaleSpec {
-  const char *Name;
-  unsigned NumStatements;
-  unsigned MaxNesting;
-  unsigned Count;
-};
-
-constexpr ScaleSpec ScaleSweep[] = {
-    {"scale_n40", 40, 2, 12},
-    {"scale_n120", 120, 3, 8},
-    {"scale_n320", 320, 3, 4},
-    {"scale_n640", 640, 4, 2},
-    {"scale_n1280", 1280, 4, 1},
-};
-
-/// Builds the suite for one sweep point: deterministic seeds, normalized
-/// to the same optimized pruned SSA the named suites ship. No interpreter
-/// inputs — these exist to measure compile time, not to check semantics
-/// (the named suites and tests cover that).
-std::vector<Workload> makeScaleSuite(const ScaleSpec &Spec) {
-  std::vector<Workload> Suite;
-  for (unsigned I = 0; I < Spec.Count; ++I) {
-    GeneratorParams P;
-    P.Seed = 0x5CA1E000 + 7919 * I + Spec.NumStatements;
-    P.NumStatements = Spec.NumStatements;
-    P.MaxNesting = Spec.MaxNesting;
-    P.CallPercent = 20; // ABI pressure grows the coalescer workload.
-    Workload W;
-    W.Name = std::string(Spec.Name) + "_f" + std::to_string(I);
-    W.F = generateProgram(P, W.Name);
-    normalizeToOptimizedSSA(*W.F);
-    Suite.push_back(std::move(W));
-  }
-  return Suite;
-}
 
 void printScalingTable() {
   std::printf("\nCompile-time scaling sweep (generated workloads)\n");
@@ -109,42 +62,13 @@ void printCompileTimeTable() {
   std::fflush(stdout);
 }
 
-void registerBenchmarks() {
-  for (const auto &[Name, Suite] : suites()) {
-    (void)Suite;
-    for (const char *Preset :
-         {"Lphi,ABI+C", "LABI+C", "C,naiveABI+C", "Sphi+LABI+C"})
-      benchmark::RegisterBenchmark(
-          ("Pipeline/" + Name + "/" + Preset).c_str(),
-          [Name = Name, Preset](benchmark::State &S) {
-            const std::vector<Workload> *Found = nullptr;
-            for (const auto &[N, Members] : suites())
-              if (N == Name)
-                Found = &Members;
-            double CoalesceSeconds = 0;
-            uint64_t Runs = 0;
-            for (auto _ : S) {
-              SuiteTotals T = runOnSuite(*Found, pipelinePreset(Preset));
-              CoalesceSeconds += T.CoalesceSeconds;
-              ++Runs;
-              benchmark::DoNotOptimize(T.Moves);
-            }
-            S.counters["coalesce_s"] =
-                benchmark::Counter(Runs ? CoalesceSeconds / Runs : 0);
-          });
-  }
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = extractJsonPath(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv, "--json=", "<file>");
   printCompileTimeTable();
   printScalingTable();
   if (!JsonPath.empty())
     Report.writeJson(JsonPath, "compiletime");
-  registerBenchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -21,17 +21,16 @@
 // "outputs" is an FNV-1a digest of every run's status, output trace and
 // return value (a full trace dump would dwarf the file). vm_seconds/
 // interp_seconds/speedup are wall-clock and never gate;
-// scripts/report_exec_throughput.py renders them for the CI summary.
+// `check_bench_regression.py --report-seconds` renders the seconds for
+// the CI summary.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "exec/Bytecode.h"
+#include "exec/Interpreter.h"
 #include "exec/VM.h"
-#include "workloads/Generator.h"
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -123,12 +122,15 @@ std::vector<CompiledWorkload> compileSuite(const std::vector<Workload> &Suite,
 
 /// Runs every (function, input) once for the deterministic counters —
 /// aborting loudly if the two engines ever disagree — then times
-/// TimingReps repetitions of each engine.
+/// TimingReps repetitions of each engine. Each timed loop sums the steps
+/// it executed and must reproduce TimingReps times the counted ones: the
+/// check keeps the runs observable, so the compiler cannot drop them.
 ExecTotals measureSuite(const std::vector<CompiledWorkload> &Compiled,
                         const char *Preset) {
   using Clock = std::chrono::steady_clock;
   ExecTotals T;
   T.Functions = Compiled.size();
+  uint64_t InterpSteps = 0;
   for (const CompiledWorkload &C : Compiled)
     for (const auto &Args : C.Inputs) {
       ExecResult Vm = runBytecode(C.BC, Args, ExecMaxSteps);
@@ -144,6 +146,7 @@ ExecTotals measureSuite(const std::vector<CompiledWorkload> &Compiled,
       ++T.Runs;
       T.Errors += !Vm.ok();
       T.DynInstrs += Vm.Steps;
+      InterpSteps += In.Steps;
       T.DynMoves += Vm.DynMoves;
       feedDigest(T.Digest, Vm);
     }
@@ -152,62 +155,30 @@ ExecTotals measureSuite(const std::vector<CompiledWorkload> &Compiled,
   // noise, and the minimum is the least-disturbed measurement of each.
   T.VmSeconds = T.InterpSeconds = 1e100;
   for (unsigned Pass = 0; Pass < TimingPasses; ++Pass) {
+    uint64_t VmSum = 0, InterpSum = 0;
     Clock::time_point VmStart = Clock::now();
     for (unsigned R = 0; R < TimingReps; ++R)
       for (const CompiledWorkload &C : Compiled)
         for (const auto &Args : C.Inputs)
-          benchmark::DoNotOptimize(runBytecode(C.BC, Args, ExecMaxSteps).Steps);
+          VmSum += runBytecode(C.BC, Args, ExecMaxSteps).Steps;
     Clock::time_point VmEnd = Clock::now();
     for (unsigned R = 0; R < TimingReps; ++R)
       for (const CompiledWorkload &C : Compiled)
         for (const auto &Args : C.Inputs)
-          benchmark::DoNotOptimize(interpret(*C.F, Args, ExecMaxSteps).Steps);
+          InterpSum += interpret(*C.F, Args, ExecMaxSteps).Steps;
     Clock::time_point InEnd = Clock::now();
+    if (VmSum != TimingReps * T.DynInstrs ||
+        InterpSum != TimingReps * InterpSteps) {
+      std::fprintf(stderr, "EXEC NONDETERMINISM: %s timed steps moved\n",
+                   Preset);
+      std::abort();
+    }
     T.VmSeconds = std::min(
         T.VmSeconds, std::chrono::duration<double>(VmEnd - VmStart).count());
     T.InterpSeconds = std::min(
         T.InterpSeconds, std::chrono::duration<double>(InEnd - VmEnd).count());
   }
   return T;
-}
-
-/// The scale sweep reuses bench_compiletime's generator recipe (same
-/// seeds, same shapes) so the execution numbers line up with the
-/// compile-time ones; inputs are generated since the sweep ships none.
-/// It executes the optimized-SSA form directly (config "ssa") — the
-/// form the property suites exercise hardest, where the interpreter
-/// pays for dynamic phi resolution that the bytecode compiler folded
-/// into edge stubs.
-struct ScaleSpec {
-  const char *Name;
-  unsigned NumStatements;
-  unsigned MaxNesting;
-  unsigned Count;
-};
-
-constexpr ScaleSpec ScaleSweep[] = {
-    {"scale_n40", 40, 2, 12},
-    {"scale_n120", 120, 3, 8},
-    {"scale_n320", 320, 3, 4},
-    {"scale_n640", 640, 4, 2},
-    {"scale_n1280", 1280, 4, 1},
-};
-
-std::vector<Workload> makeScaleSuite(const ScaleSpec &Spec) {
-  std::vector<Workload> Suite;
-  for (unsigned I = 0; I < Spec.Count; ++I) {
-    GeneratorParams P;
-    P.Seed = 0x5CA1E000 + 7919 * I + Spec.NumStatements;
-    P.NumStatements = Spec.NumStatements;
-    P.MaxNesting = Spec.MaxNesting;
-    P.CallPercent = 20;
-    Workload W;
-    W.Name = std::string(Spec.Name) + "_f" + std::to_string(I);
-    W.F = generateProgram(P, W.Name);
-    normalizeToOptimizedSSA(*W.F);
-    Suite.push_back(std::move(W));
-  }
-  return Suite;
 }
 
 struct ExecRecord {
@@ -240,6 +211,12 @@ void printDynamicMoveTable() {
   std::fflush(stdout);
 }
 
+/// The sweep is bench_compiletime's (BenchUtil.h's ScaleSweep), so the
+/// execution numbers line up with the compile-time ones; inputs are
+/// generated since the sweep ships none. It executes the optimized-SSA
+/// form directly (config "ssa") — the form the property suites exercise
+/// hardest, where the interpreter pays for dynamic phi resolution that
+/// the bytecode compiler folded into edge stubs.
 void printThroughputTable() {
   std::printf("\nExecution throughput sweep (optimized SSA, %u passes x %u reps)\n",
               TimingPasses, TimingReps);
@@ -282,49 +259,16 @@ void writeExecJson(const std::string &Path) {
   }
   W.endArray();
   W.endObject();
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(Out, "%s\n", W.str().c_str());
-  std::fclose(Out);
-}
-
-void registerBenchmarks() {
-  for (const auto &[Name, Suite] : suites()) {
-    (void)Suite;
-    for (const char *Engine : {"vm", "interp"})
-      benchmark::RegisterBenchmark(
-          ("Exec/" + Name + "/" + Engine).c_str(),
-          [Name = Name, Engine](benchmark::State &S) {
-            const std::vector<Workload> *Found = nullptr;
-            for (const auto &[N, Members] : suites())
-              if (N == Name)
-                Found = &Members;
-            std::vector<CompiledWorkload> Compiled =
-                compileSuite(*Found, "Lphi,ABI+C");
-            bool Vm = std::strcmp(Engine, "vm") == 0;
-            for (auto _ : S)
-              for (const CompiledWorkload &C : Compiled)
-                for (const auto &Args : C.Inputs)
-                  benchmark::DoNotOptimize(
-                      Vm ? runBytecode(C.BC, Args, ExecMaxSteps).Steps
-                         : interpret(*C.F, Args, ExecMaxSteps).Steps);
-          });
-  }
+  writeJsonFile(Path, W.str());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = extractJsonPath(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv, "--json=", "<file>");
   printDynamicMoveTable();
   printThroughputTable();
   if (!JsonPath.empty())
     writeExecJson(JsonPath);
-  registerBenchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -24,8 +24,6 @@
 
 #include "regalloc/RegAlloc.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace lao;
 using namespace lao::bench;
 
@@ -139,49 +137,15 @@ void writePressureJson(const std::string &Path) {
   }
   W.endArray();
   W.endObject();
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(Out, "%s\n", W.str().c_str());
-  std::fclose(Out);
-}
-
-void registerBenchmarks() {
-  for (const auto &[Name, Suite] : suites()) {
-    (void)Suite;
-    for (const char *Preset : {"Lphi,ABI+C", "C,naiveABI+C"})
-      for (AllocatorKind A : {AllocatorKind::ChaitinBriggs,
-                              AllocatorKind::Chordal})
-        benchmark::RegisterBenchmark(
-            ("RegAlloc/" + Name + "/" + Preset + "/" + allocatorName(A))
-                .c_str(),
-            [Name = Name, Preset, A](benchmark::State &S) {
-              const std::vector<Workload> *Found = nullptr;
-              for (const auto &[N, Members] : suites())
-                if (N == Name)
-                  Found = &Members;
-              RegAllocOptions Opts;
-              Opts.Allocator = A;
-              Opts.NumRegs = 8;
-              for (auto _ : S) {
-                PressureTotals T = allocateSuite(*Found, Preset, Opts);
-                benchmark::DoNotOptimize(T.Spills);
-              }
-            });
-  }
+  writeJsonFile(Path, W.str());
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = extractJsonPath(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv, "--json=", "<file>");
   printPressureTables();
   if (!JsonPath.empty())
     writePressureJson(JsonPath);
-  registerBenchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -33,8 +33,6 @@
 #include "server/Protocol.h"
 #include "server/Server.h"
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -279,7 +277,7 @@ std::vector<std::string> tinyTexts() {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = extractJsonPath(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv, "--json=", "<file>");
 
   struct WorkloadSpec {
     const char *Suite;
@@ -328,17 +326,7 @@ int main(int argc, char **argv) {
   }
   std::fflush(stdout);
 
-  if (!JsonPath.empty()) {
-    std::FILE *Out = std::fopen(JsonPath.c_str(), "w");
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", JsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(Out, "%s\n", jsonString(Records).c_str());
-    std::fclose(Out);
-  }
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!JsonPath.empty())
+    writeJsonFile(JsonPath, jsonString(Records));
   return 0;
 }

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Analysis-count regression check for the bench JSON output.
+"""Regression gate for the bench JSON output (BENCH_*.json).
 
-Compares the per-(suite, config) records of a freshly generated
-BENCH_compiletime.json against the committed baseline
-(register-pressure records key on (suite, config, num_regs, allocator,
-spill_mode), with the pre-strategy-tier defaults
-chaitin-briggs/spill-everywhere filled in for old baselines). Three families of
-checks, all pure counter/measurement diffs: independent of machine
-speed, deterministic, and they fail the build whenever a change
+Compares each freshly generated bench file against its committed
+baseline, record by record. Records key on (suite, config);
+register-pressure records, which carry num_regs, key on (suite, config,
+num_regs, allocator, spill_mode), and one with num_regs but without
+allocator or spill_mode is malformed. Three families of checks, all
+pure counter/measurement diffs: independent of machine speed,
+deterministic, and they fail the build whenever a change
 
   1. reintroduces a redundant analysis recomputation or interference
      work into the pipeline (decrease-only counters: dense liveness
      solves, interference-graph constructions, CFG/dominator builds,
      coalescer graph rebuilds and confirm scans, phi-coalescer pair
-     queries, class-interference sweep probes);
-  2. alters any pipeline *measurement* (moves, weighted moves,
-     pre-coalesce moves, coalescer merges must be bit-identical — the
+     queries, class-interference sweep probes, translate inserts);
+  2. alters any measurement: the paper's move counts (moves, weighted
+     moves, pre-coalesce moves, coalescer merges), the spill counts,
+     the compile-service framing counts and the executed
+     instruction/move tallies must be bit-identical (the
      class-interference engine is an exact replacement for the pairwise
      scan, so results never move, see docs/ANALYSIS.md);
   3. breaks the sweep engine's sublinearity: on the scale_n* suites the
@@ -26,26 +28,26 @@ Usage: check_bench_regression.py [--report-seconds] \
            <baseline.json> <fresh.json> \
            [<baseline2.json> <fresh2.json> ...]
 
-Extra baseline/fresh pairs are checked with the same rules (CI passes
-both BENCH_compiletime.json and BENCH_regpressure.json); the
-sublinearity check only engages on files whose suites match scale_n*.
+Every pair is checked with the same rules (CI passes all nine BENCH
+files); the sublinearity check only engages on files whose suites match
+scale_n*.
 
 --report-seconds additionally prints a baseline-vs-fresh wall-clock
-table (whole-pipeline 'seconds' per record, plus any per-pass
-breakdown) as GitHub-flavored markdown. The table is informational
-only — machine-dependent timings never gate — and CI uploads it as the
-job's step summary. Records lacking a 'seconds' field are skipped.
+table as GitHub-flavored markdown: one row per numeric top-level field
+whose name ends in 'seconds' ('seconds', 'coalesce_seconds',
+BENCH_exec's 'vm_seconds'/'interp_seconds', ...), plus any per-pass
+breakdown. The table is informational only — machine-dependent timings
+never gate — and CI uploads it as the job's step summary.
 
 A fresh count <= baseline passes (improvements update the committed
 baseline on the next reference run). Everything that could hide a
 regression fails loudly with the offending key named: a fresh count
-above baseline, a measurement differing at all, a (suite, config)
-record that exists in the baseline but not in the fresh output, a
-checked counter or measurement field present on one side but missing
-from the other, and bench files missing their top-level 'records' key
-or per-record 'suite'/'config' keys (malformed input is a failure,
-never a traceback). Exit status: 0 clean, 1 any failure, 2 usage.
-Stdlib only.
+above baseline, a measurement differing at all, a record that exists in
+the baseline but not in the fresh output, a checked counter or
+measurement field present on one side but missing from the other, and
+bench files missing their top-level 'records' key or a required
+per-record key (malformed input is a failure, never a traceback). Exit
+status: 0 clean, 1 any failure, 2 usage. Stdlib only.
 """
 
 import json
@@ -133,17 +135,16 @@ def records_by_key(doc, path):
                 )
         # Register-pressure records repeat each (suite, config) once per
         # simulated register count, allocator strategy, and spill model;
-        # num_regs/allocator/spill_mode disambiguate them. The defaults
-        # name the historical single-allocator records, so a baseline
-        # from before the strategy tier keys identically to the fresh
-        # chaitin-briggs/spill-everywhere records.
+        # num_regs/allocator/spill_mode disambiguate them.
         key = (rec["suite"], rec["config"])
         if "num_regs" in rec:
-            key += (
-                rec["num_regs"],
-                rec.get("allocator", "chaitin-briggs"),
-                rec.get("spill_mode", "spill-everywhere"),
-            )
+            for required in ("allocator", "spill_mode"):
+                if required not in rec:
+                    raise MalformedBench(
+                        "%s: record #%d has num_regs but no '%s'"
+                        % (path, idx, required)
+                    )
+            key += (rec["num_regs"], rec["allocator"], rec["spill_mode"])
         out[key] = rec
     return out
 
@@ -237,43 +238,36 @@ def seconds_report(baseline, fresh):
     """Markdown lines comparing wall-clock seconds, baseline vs fresh.
 
     Informational only: timings depend on the machine, so nothing here
-    ever contributes a failure. Rows cover every (suite, config) with a
-    'seconds' measurement on both sides; per-pass breakdowns ride along
-    when both records carry matching per_pass_seconds entries.
+    ever contributes a failure. One row per record and numeric top-level
+    field ending in 'seconds' present on both sides (non-positive fresh
+    values are skipped); per-pass breakdowns ride along when both
+    records carry matching per_pass_seconds entries.
     """
     lines = []
     for key, base_rec in sorted(baseline.items()):
         fresh_rec = fresh.get(key)
         if fresh_rec is None:
             continue
-        base_s = base_rec.get("seconds")
-        new_s = fresh_rec.get("seconds")
-        if not isinstance(base_s, (int, float)) or \
-                not isinstance(new_s, (int, float)) or new_s <= 0:
-            continue
-        lines.append(
-            "| %s | total | %.4f | %.4f | %.2fx |"
-            % (key_str(key), base_s, new_s, base_s / new_s)
-        )
+        rows = [(name, base_rec[name], fresh_rec.get(name))
+                for name in sorted(base_rec) if name.endswith("seconds")]
         base_pp = base_rec.get("per_pass_seconds", {})
         fresh_pp = fresh_rec.get("per_pass_seconds", {})
-        if not isinstance(base_pp, dict) or not isinstance(fresh_pp, dict):
-            continue
-        for pname in sorted(base_pp):
-            bp, fp = base_pp.get(pname), fresh_pp.get(pname)
-            if not isinstance(bp, (int, float)) or \
-                    not isinstance(fp, (int, float)) or fp <= 0:
-                continue
-            lines.append(
-                "| %s | %s | %.4f | %.4f | %.2fx |"
-                % (key_str(key), pname, bp, fp, bp / fp)
-            )
+        if isinstance(base_pp, dict) and isinstance(fresh_pp, dict):
+            rows += [(pname, base_pp[pname], fresh_pp.get(pname))
+                     for pname in sorted(base_pp)]
+        for name, base_s, new_s in rows:
+            if isinstance(base_s, (int, float)) and \
+                    isinstance(new_s, (int, float)) and new_s > 0:
+                lines.append(
+                    "| %s | %s | %.4f | %.4f | %.2fx |"
+                    % (key_str(key), name, base_s, new_s, base_s / new_s)
+                )
     if not lines:
         return []
     header = [
         "### Wall-clock comparison (non-gating)",
         "",
-        "| record | pass | baseline s | fresh s | speedup |",
+        "| record | field | baseline s | fresh s | speedup |",
         "|---|---|---|---|---|",
     ]
     return header + lines + [""]

@@ -188,6 +188,16 @@ class TestSecondsReport(CheckerHarness):
         self.assertIn("| translate |", out)
         self.assertIn("2.00x", out)
 
+    def test_every_seconds_field_is_reported(self):
+        # BENCH_exec records time both engines in their own fields.
+        base = bench_doc([record(vm_seconds=0.004, interp_seconds=0.02)])
+        fresh = bench_doc([record(vm_seconds=0.002, interp_seconds=0.02)])
+        status, out = self.run_checker(base, fresh, "--report-seconds")
+        self.assertEqual(status, 0, out)
+        self.assertIn("| valcc/Lphi,ABI+C | vm_seconds | 0.0040 | 0.0020 "
+                      "| 2.00x |", out)
+        self.assertIn("| interp_seconds |", out)
+
     def test_records_without_seconds_are_skipped(self):
         status, out = self.run_checker(bench_doc([record()]),
                                        bench_doc([record()]),
@@ -198,29 +208,15 @@ class TestSecondsReport(CheckerHarness):
 
 class TestRegpressureKeying(CheckerHarness):
     """The 5-tuple (suite, config, num_regs, allocator, spill_mode) key
-    for register-pressure records, with pre-strategy-tier defaults."""
+    for register-pressure records."""
 
-    def test_old_baseline_matches_explicit_default_combo(self):
-        # A baseline written before the allocator strategy tier has no
-        # allocator/spill_mode keys; the defaults must make it compare
-        # against the fresh chaitin-briggs/spill-everywhere record —
-        # bit-identically, so a spill change still fails.
-        base = bench_doc([record(num_regs=8, spills=355, counters={})])
-        fresh = bench_doc([record(num_regs=8, spills=355,
-                                  allocator="chaitin-briggs",
-                                  spill_mode="spill-everywhere",
-                                  counters={})])
-        status, out = self.run_checker(base, fresh)
-        self.assertEqual(status, 0, out)
-
-    def test_old_baseline_gates_default_combo_bit_identically(self):
-        base = bench_doc([record(num_regs=8, spills=355, counters={})])
-        fresh = bench_doc([record(num_regs=8, spills=354,
-                                  allocator="chaitin-briggs",
-                                  spill_mode="spill-everywhere",
-                                  counters={})])
-        self.assert_fails_naming(base, fresh, "spills",
-                                 "must be bit-identical")
+    def test_num_regs_without_allocator_keys_is_malformed(self):
+        # Every register-pressure record names its allocator and spill
+        # model; one that carries num_regs without them cannot be keyed.
+        rec = record(num_regs=8, spills=355, spill_mode="spill-everywhere",
+                     counters={})
+        self.assert_fails_naming(bench_doc([rec]), bench_doc([rec]),
+                                 "has num_regs but no 'allocator'")
 
     def test_allocator_distinguishes_records(self):
         # Same (suite, config, num_regs) but a different allocator is a

@@ -133,9 +133,8 @@ public:
   static void setCrossCheckOracle(bool On) { CrossCheckOracle = On; }
   static bool crossCheckOracle() { return CrossCheckOracle; }
 
-  /// Field-diagnosis summary for lao-opt --interference-stats: the
-  /// class-size histogram of the current class partition plus the
-  /// engine's cache/probe counters.
+  /// Field-diagnosis summary: the class-size histogram of the current
+  /// class partition plus the engine's cache/probe counters.
   struct InterferenceReport {
     uint64_t NumClasses = 0;  ///< Classes counted in SizeHist.
     uint64_t SizeHist[6] = {0, 0, 0, 0, 0, 0}; ///< Members: 1, 2, 3-4,

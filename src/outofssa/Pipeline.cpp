@@ -132,8 +132,6 @@ PipelineResult lao::runPipeline(Function &F, const PipelineConfig &Config,
              "phi-coalescing must preserve the analyses PinningContext and "
              "its interference cache were built from");
     }
-    if (Config.CollectInterferenceStats)
-      R.Interference = Ctx.interferenceReport();
     (void)CtxEpoch;
     {
       ScopedTimer T(R.Timings, "translate");

@@ -57,10 +57,6 @@ struct PipelineConfig {
   bool Coalesce = false;
   InterferenceMode Mode = InterferenceMode::Precise;
   PhiCoalescingOptions PhiOpts;
-  /// Capture PinningContext::interferenceReport() into
-  /// PipelineResult::Interference after phi-coalescing (lao-opt
-  /// --interference-stats). Off by default: the report walks all classes.
-  bool CollectInterferenceStats = false;
   /// Cooperative cancellation hook, polled between phases. When it
   /// returns true the pipeline stops immediately and the result comes
   /// back with Cancelled set; the function is left half-transformed and
@@ -105,9 +101,6 @@ struct PipelineResult {
   double CoalesceSeconds = 0.0; ///< Wall time of aggressive coalescing.
   TimerGroup Timings;           ///< Per-phase wall time (see above).
   unsigned MovesBeforeCoalesce = 0;
-  /// Post-coalescing class-size histogram + interference-cache counters;
-  /// only filled when PipelineConfig::CollectInterferenceStats is set.
-  PinningContext::InterferenceReport Interference;
   /// Outcome of the optional register-allocation stage; engaged exactly
   /// when PipelineConfig::RegAlloc was set (check RegAlloc->Ok — an
   /// allocation failure is not a pipeline failure).

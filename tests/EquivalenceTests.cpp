@@ -108,14 +108,45 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PipelineEquivalence,
                          testing::ValuesIn(sweepPoints()), sweepName);
 
 /// Interference-mode and heuristic variants must also be semantics
-/// preserving (they may only change the number of moves).
+/// preserving (they may only change the number of moves). Together the
+/// points cover every configuration bench_tables reports beyond the
+/// presets: Table 5's depth/opt/pess and the ablation knobs.
+enum class Knob { None, FirstFound, PhysMergeAlways, PhysMergeNever, UsePin };
+
+const char *const KnobSuffix[] = {"", "_firstfound", "_physmerge_always",
+                                  "_physmerge_never", "_usepin"};
+
 struct VariantPoint {
   uint64_t Seed;
   InterferenceMode Mode;
   bool Depth;
+  Knob Ablation = Knob::None;
 };
 
 class VariantEquivalence : public testing::TestWithParam<VariantPoint> {};
+
+PipelineConfig variantConfig(const char *Preset, const VariantPoint &Point) {
+  PipelineConfig Config = pipelinePreset(Preset);
+  Config.Mode = Point.Mode;
+  Config.PhiOpts.DepthConstrained = Point.Depth;
+  switch (Point.Ablation) {
+  case Knob::None:
+    break;
+  case Knob::FirstFound:
+    Config.PhiOpts.Heuristic = PruneHeuristic::FirstFound;
+    break;
+  case Knob::PhysMergeAlways:
+    Config.PhiOpts.PhysMergeMinMult = 1;
+    break;
+  case Knob::PhysMergeNever:
+    Config.PhiOpts.PhysMergeMinMult = ~0u;
+    break;
+  case Knob::UsePin:
+    Config.PhiOpts.UsePinAffinity = true;
+    break;
+  }
+  return Config;
+}
 
 TEST_P(VariantEquivalence, PreservesObservableBehaviour) {
   const VariantPoint &Point = GetParam();
@@ -129,14 +160,15 @@ TEST_P(VariantEquivalence, PreservesObservableBehaviour) {
   auto F = generateProgram(P, "vprog" + std::to_string(Point.Seed));
   normalizeToOptimizedSSA(*F);
 
-  auto Translated = cloneFunction(*F);
-  PipelineConfig Config = pipelinePreset("Lphi,ABI+C");
-  Config.Mode = Point.Mode;
-  Config.PhiOpts.DepthConstrained = Point.Depth;
-  runPipeline(*Translated, Config);
-
-  for (uint64_t Set = 0; Set < 2; ++Set)
-    expectEquivalent(*F, *Translated, {Point.Seed * 3 + Set, Set});
+  // Table 5 reports the variants without the cleanup coalescer, the
+  // ablation table with it.
+  for (const char *Preset : {"Lphi,ABI", "Lphi,ABI+C"}) {
+    SCOPED_TRACE(Preset);
+    auto Translated = cloneFunction(*F);
+    runPipeline(*Translated, variantConfig(Preset, Point));
+    for (uint64_t Set = 0; Set < 2; ++Set)
+      expectEquivalent(*F, *Translated, {Point.Seed * 3 + Set, Set});
+  }
 }
 
 std::vector<VariantPoint> variantPoints() {
@@ -145,6 +177,9 @@ std::vector<VariantPoint> variantPoints() {
     Points.push_back({Seed, InterferenceMode::Precise, true});
     Points.push_back({Seed, InterferenceMode::Optimistic, false});
     Points.push_back({Seed, InterferenceMode::Pessimistic, false});
+    for (Knob K : {Knob::FirstFound, Knob::PhysMergeAlways,
+                   Knob::PhysMergeNever, Knob::UsePin})
+      Points.push_back({Seed, InterferenceMode::Precise, false, K});
   }
   return Points;
 }
@@ -159,7 +194,8 @@ INSTANTIATE_TEST_SUITE_P(
                     ? "optimistic"
                     : "pessimistic";
       return "seed" + std::to_string(Info.param.Seed) + "_" + Mode +
-             (Info.param.Depth ? "_depth" : "");
+             (Info.param.Depth ? "_depth" : "") +
+             KnobSuffix[static_cast<int>(Info.param.Ablation)];
     });
 
 /// The paper-figure programs must survive every applicable pipeline.

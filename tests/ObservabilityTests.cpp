@@ -228,8 +228,8 @@ TEST(SuiteRunner, ParallelTotalsBitIdenticalToSerial) {
   auto Suite = makeExamplesSuite();
   for (const char *Preset : {"Lphi,ABI+C", "C,naiveABI+C"}) {
     PipelineConfig Config = pipelinePreset(Preset);
-    SuiteTotals Serial = runOnSuite(Suite, Config, /*Check=*/false, nullptr);
-    SuiteTotals Parallel = runOnSuite(Suite, Config, /*Check=*/false, &Pool);
+    SuiteTotals Serial = runOnSuite(Suite, Config, nullptr);
+    SuiteTotals Parallel = runOnSuite(Suite, Config, &Pool);
     EXPECT_EQ(Serial.Moves, Parallel.Moves) << Preset;
     EXPECT_EQ(Serial.WeightedMoves, Parallel.WeightedMoves) << Preset;
     EXPECT_EQ(Serial.MovesBeforeCoalesce, Parallel.MovesBeforeCoalesce)

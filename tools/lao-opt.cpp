@@ -33,10 +33,6 @@
 //     --stats             print the move totals and the counter
 //                         registry (every pass's counts, LLVM -stats
 //                         style; docs/OBSERVABILITY.md)
-//     --interference-stats
-//                         print the pinning class-size histogram and the
-//                         class-interference cache hit rate (pipeline
-//                         runs only)
 //     --timing-json=<f>   write per-pass timings + counters as JSON
 //
 //===----------------------------------------------------------------------===//
@@ -81,7 +77,6 @@ struct Options {
   bool Dot = false;
   bool Verify = false;
   bool Stats = false;
-  bool InterferenceStats = false;
   std::string TimingJson;
   std::vector<uint64_t> RunArgs;
   bool Run = false;
@@ -95,7 +90,7 @@ int usage(const char *Argv0) {
       "usage: %s [--ssa] [--ifconvert] [--pipeline=<preset>] "
       "[--regalloc[=<preset>]] [--regalloc-regs=N] [--run a,b,...] "
       "[--exec=vm|interp|both] "
-      "[--verify] [--stats] [--interference-stats] "
+      "[--verify] [--stats] "
       "[--timing-json=<file>] <file.lai|->\n",
       Argv0);
   return 2;
@@ -140,8 +135,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Verify = true;
     } else if (A == "--stats") {
       Opts.Stats = true;
-    } else if (A == "--interference-stats") {
-      Opts.InterferenceStats = true;
     } else if (A.rfind("--timing-json=", 0) == 0) {
       Opts.TimingJson = A.substr(std::strlen("--timing-json="));
     } else if (!A.empty() && A[0] == '-' && A != "-") {
@@ -224,38 +217,8 @@ int main(int Argc, char **Argv) {
                    Opts.Pipeline.c_str());
       return 1;
     }
-    Config->CollectInterferenceStats = Opts.InterferenceStats;
     StatsSnapshot Before = StatsRegistry::instance().snapshot();
     PipelineResult R = runPipeline(*F, *Config);
-    if (Opts.InterferenceStats) {
-      const PinningContext::InterferenceReport &IR = R.Interference;
-      std::fprintf(stderr, "interference %s: %llu classes, sizes",
-                   F->name().c_str(),
-                   static_cast<unsigned long long>(IR.NumClasses));
-      static const char *Buckets[6] = {"1",   "2",    "3-4",
-                                       "5-8", "9-16", ">=17"};
-      for (unsigned K = 0; K < 6; ++K)
-        if (IR.SizeHist[K])
-          std::fprintf(stderr, " [%s]=%llu", Buckets[K],
-                       static_cast<unsigned long long>(IR.SizeHist[K]));
-      if (IR.EngineUsed) {
-        uint64_t Total = IR.Queries + IR.CacheHits;
-        std::fprintf(stderr,
-                     "\n  engine: %llu/%llu cache hits (%.1f%%), "
-                     "%llu evictions, %llu probes (pairwise bound %llu)",
-                     static_cast<unsigned long long>(IR.CacheHits),
-                     static_cast<unsigned long long>(Total),
-                     Total ? 100.0 * double(IR.CacheHits) / double(Total)
-                           : 0.0,
-                     static_cast<unsigned long long>(IR.CacheEvictions),
-                     static_cast<unsigned long long>(IR.Probes),
-                     static_cast<unsigned long long>(IR.PairCost));
-      }
-      if (IR.PairwiseQueries)
-        std::fprintf(stderr, "\n  pairwise scans: %llu",
-                     static_cast<unsigned long long>(IR.PairwiseQueries));
-      std::fprintf(stderr, "\n");
-    }
     if (Opts.Stats)
       std::fprintf(stderr, "pipeline %s: moves=%u weighted=%llu\n",
                    Opts.Pipeline.c_str(), R.NumMoves,
